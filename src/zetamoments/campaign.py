@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__, moments, zerosums
 from .primes import DirichletPolySpec
 from .zeros import ZeroCache, count_audit, load, sweep
-from .zetafn import CONSTANTS, chi, digamma, log_deriv, zeta
+from .zetafn import CONSTANTS, NearZeroError, chi, digamma, log_deriv, zeta
 
 _SCHEMA = "audit.v1"
 
@@ -196,16 +196,18 @@ def run_campaign(config: CampaignConfig) -> list[AuditOutcome]:
         pts = _kronecker(config.seeds + 3, 20)
         worst = 0.0
         window = 50.0
+        used = 0
         for u, v in pts:
             t = 80.0 + (config.t_max - window - 90.0) * v
             s = complex(0.5 + 1.5 * u, t)
             try:
                 direct = log_deriv(s).value
-            except Exception:
+            except NearZeroError:
                 continue
             rec = zerosums.log_deriv_reconstruction(cache, s, window)
             worst = max(worst, abs(rec - direct))
-        add(AuditOutcome("partial_fraction_reconstruction", worst, 0.0, 20,
+            used += 1
+        add(AuditOutcome("partial_fraction_reconstruction", worst, 0.0, used,
                          f"window {window:g}"))
 
     _safe(partial_fraction, "partial_fraction_reconstruction", outcomes)

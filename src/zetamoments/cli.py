@@ -15,7 +15,7 @@ import sys
 
 from . import campaign, moments, zeros, zerosums
 from .campaign import AuditOutcome, CampaignConfig, ReportSchemaError
-from .zetafn import DomainError
+from .zetafn import CONSTANTS, DomainError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -84,8 +84,7 @@ def _moment_row(rep: moments.MomentReport) -> dict:
 
 def _cmd_sweep(args) -> int:
     _progress(f"sweeping zeros up to t = {args.tmax} ...")
-    cache = zeros.sweep(args.tmax, refine_tol=args.refine_tol,
-                        threads=args.threads)
+    cache = zeros.sweep(args.tmax, refine_tol=args.refine_tol)
     zeros.save(cache, args.cache)
     print(campaign._emit({
         "t_max": cache.t_max, "count": len(cache),
@@ -172,13 +171,15 @@ def _cmd_continuous(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    if args.cache is not None:
+        _load_cache(args.cache)         # a bad --cache exits 1 before any work
     config = CampaignConfig(
         t_max=args.tmax,
         k_list=tuple(args.k) if args.k is not None else (1.0, 2.0),
         ell_list=tuple(args.ell) if args.ell is not None else (1, 2),
         lam=getattr(args, "lambda"),
         seeds=args.seed,
-        cache_path=args.cache if args.cache and os.path.exists(args.cache) else None,
+        cache_path=args.cache,
     )
     _progress(f"running audit campaign at T = {args.tmax} ...")
     outcomes = campaign.run_campaign(config)
@@ -241,8 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output cache file")
     p.add_argument("--refine-tol", type=float, default=1e-10,
                    help="residual target |Z(gamma)| for refinement")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                   help="scan-window parallelism cap")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("moments", formatter_class=fmt,
@@ -316,13 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="moment power; repeat for several (default: 1 and 2)")
     p.add_argument("--ell", type=int, action="append", default=None,
                    help="derivative order; repeat for several (default: 1 and 2)")
-    p.add_argument("--lambda", type=float, default=0.5671432904097838,
+    p.add_argument("--lambda", type=float, default=CONSTANTS.lambda0,
                    help="smoothing shift of the majorant polynomial "
                         "(dimensionless, >= lambda0)")
     p.add_argument("--seed", type=int, default=2026,
                    help="seed for sample-point generation")
     p.add_argument("--cache", default=None, metavar="PATH",
-                   help="reuse this zero cache if it exists")
+                   help="zero cache to audit (zcache v1 text format); "
+                        "default: sweep the zeros to --tmax")
     _add_common(p)
     p.set_defaults(func=_cmd_audit)
 

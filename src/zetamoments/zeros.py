@@ -1,13 +1,14 @@
 """Critical-line zero localization, count audit, and the zero-cache file format.
 
 The sweep scans Hardy's Z on a grid of step <= 0.05 inside every Gram block,
-brackets sign changes, refines each bracket with Brent's method on the fast
-Z route, then polishes with Newton steps on the Euler-Maclaurin route so the
-recorded residual |Z(gamma)| comes from the accurate evaluator.  Runs of
-blocks whose sign-change counts do not reconcile with the theta-based
-expectation of one zero per block are rescanned on successively finer grids
-down to step 1e-4 (reconciled runs are ordinary Gram-law exceptions and are
-kept as found), and the cumulative count is audited against theta(T)/pi + 1.
+brackets sign changes, refines all brackets together by false position (the
+Illinois rule) on the batched Z evaluator, then polishes with Newton steps
+on the Euler-Maclaurin route so the recorded residual |Z(gamma)| comes from
+the accurate evaluator.  Runs of blocks whose sign-change counts do not
+reconcile with the theta-based expectation of one zero per block are
+rescanned on successively finer grids down to step 1e-4 (reconciled runs are
+ordinary Gram-law exceptions and are kept as found), and the cumulative
+count is audited against theta(T)/pi + 1.
 
 Zero-order detection is by sign change, so only odd-order zeros are found;
 all zeros in the supported range are empirically simple and the cache
@@ -31,14 +32,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import zetafn
-from .zetafn import DomainError, hardy_z, hardy_z_grid, theta, theta_deriv
+from .zetafn import DomainError, hardy_z_grid, theta, theta_deriv
+from .zetafn import hardy_z  # noqa: F401 -- perfbench's tracer wraps zeros.hardy_z
 
 _SCAN_STEP = 0.05
 _LADDER = (0.01, 2e-3, 5e-4, 1e-4)
 _SWEEP_START = 10.0     # theta domain floor; first zero is above 14
+_ROOT_XTOL = 1e-12      # a bracket is refined below xtol + rtol*|t|: the
+_ROOT_RTOL = 8.9e-16    # stopping rule and defaults of SciPy's Brent solver
+_ROOT_MAXITER = 100
+# validate accepts residuals up to max(refine_tol, this floor): the polish
+# cannot push |Z(gamma)| below the evaluator's noise, ~3e-10 near t = 1e5
+_RESIDUAL_FLOOR = 1e-9
 
 
 class CacheFormatError(ValueError):
@@ -108,8 +115,9 @@ class ZeroCache:
             raise CacheInvariantError("indices not contiguous from 1")
         if any(not (14.0 < g <= self.t_max) for g in gammas):
             raise CacheInvariantError("ordinate outside (14, t_max]")
-        if any(r.residual < 0 or r.residual > 1e-9 for r in self.records):
-            raise CacheInvariantError("residual outside [0, 1e-9]")
+        bound = max(self.meta.refine_tol, _RESIDUAL_FLOOR)
+        if any(r.residual < 0 or r.residual > bound for r in self.records):
+            raise CacheInvariantError(f"residual outside [0, {bound:g}]")
 
 
 def gram_point(n: int) -> float:
@@ -165,12 +173,6 @@ def _brackets(ts: np.ndarray, zs: np.ndarray) -> list[tuple[float, float]]:
     return [(float(ts[i]), float(ts[i + 1])) for i in flips]
 
 
-def _fast_z(t: float) -> float:
-    if t >= zetafn._RS_CUTOVER:
-        return zetafn._rs_z_scalar(t)
-    return float(hardy_z(t, method=zetafn.EULER_MACLAURIN).value.real)
-
-
 def _ladder_rescan(lo: float, hi: float,
                    best: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Rescan one deviant Gram block on finer grids down to step 1e-4."""
@@ -198,8 +200,8 @@ def _scan_window(edges: np.ndarray, w0: int, w1: int) -> list[list[tuple[float, 
     return out
 
 
-def _scan_blocks(edges: np.ndarray, window: int = 256, thorough: bool = False,
-                 threads: int = 1) -> list[tuple[float, float]]:
+def _scan_blocks(edges: np.ndarray, window: int = 256,
+                 thorough: bool = False) -> list[tuple[float, float]]:
     """Sign-change brackets over all Gram blocks, evaluated in batched windows.
 
     Blocks whose count differs from the theta-based expectation of one zero
@@ -208,22 +210,11 @@ def _scan_blocks(edges: np.ndarray, window: int = 256, thorough: bool = False,
     anything else is rescanned on finer grids, since it may hide a close
     pair below the grid resolution.  With thorough=True every deviant block
     is rescanned regardless (fallback when the global count audit fails).
-
-    Windows are independent; threads > 1 maps them on a pool and merges in
-    window order, so the result is identical to the serial scan.
     """
     n_blocks = edges.size - 1
-    spans = [(w0, min(w0 + window, n_blocks)) for w0 in range(0, n_blocks, window)]
     per_block: list[list[tuple[float, float]]] = []
-    if threads > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda s: _scan_window(edges, *s), spans))
-        for chunk in results:
-            per_block.extend(chunk)
-    else:
-        for w0, w1 in spans:
-            per_block.extend(_scan_window(edges, w0, w1))
+    for w0 in range(0, n_blocks, window):
+        per_block.extend(_scan_window(edges, w0, min(w0 + window, n_blocks)))
 
     counts = np.array([len(b) for b in per_block])
     deviant = counts != 1
@@ -241,6 +232,37 @@ def _scan_blocks(edges: np.ndarray, window: int = 256, thorough: bool = False,
                                               per_block[b])
         i = j
     return [bracket for blocks in per_block for bracket in blocks]
+
+
+def _illinois_roots(brackets) -> np.ndarray:
+    """Roots of Z in every sign-change bracket, all brackets advanced together.
+
+    False position with the Illinois rule (M. Dowell and P. Jarratt, BIT 11
+    (1971) 168-174): b is the newest point and a the end kept from before;
+    when a is kept again its Z value is halved, so both ends close in.  Each
+    iteration is one hardy_z_grid call at the new point of every unconverged
+    bracket; the brackets are disjoint and ascending, so those points are
+    ascending too.  A bracket stops when Z vanishes at b or |b - a| falls
+    below _ROOT_XTOL + _ROOT_RTOL*|b|; its root is b.
+    """
+    a, b = np.array(brackets, dtype=np.float64).reshape(-1, 2).T
+    f, _ = hardy_z_grid(np.column_stack((a, b)).ravel())
+    fa, fb = f[0::2], f[1::2]
+    root = np.empty(a.size)
+    idx = np.arange(a.size)
+    for _ in range(_ROOT_MAXITER):
+        c = np.clip(b - fb * (b - a) / (fb - fa), np.minimum(a, b), np.maximum(a, b))
+        fc, _ = hardy_z_grid(c)
+        root[idx] = c
+        flip = fc * fb < 0.0
+        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
+        b, fb = c, fc
+        go = (fc != 0.0) & (np.abs(b - a) >= _ROOT_XTOL + _ROOT_RTOL * np.abs(b))
+        idx, a, b, fa, fb = idx[go], a[go], b[go], fa[go], fb[go]
+        if idx.size == 0:
+            return root
+    raise RuntimeError(f"false position did not converge in {_ROOT_MAXITER} "
+                       f"iterations near t = {b[0]}")
 
 
 def _polish(roots: np.ndarray, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -263,12 +285,11 @@ def _polish(roots: np.ndarray, refine_tol: float) -> tuple[np.ndarray, np.ndarra
     return g, np.abs(z)
 
 
-def sweep(t_max: float, refine_tol: float = 1e-10, threads: int = 1) -> ZeroCache:
+def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
     """Locate all critical-line zeros with 0 < gamma <= t_max.
 
     t_max down to 10.5 is accepted (an empty result below the first zero is
-    legitimate); the supported ceiling is 1e5.  threads caps scan-window
-    parallelism and does not affect the result.
+    legitimate); the supported ceiling is 1e5.
     """
     if not (10.5 <= t_max <= 1e5):
         raise DomainError(f"t_max must lie in [10.5, 1e5] (got {t_max})")
@@ -276,7 +297,7 @@ def sweep(t_max: float, refine_tol: float = 1e-10, threads: int = 1) -> ZeroCach
         raise DomainError(f"refine_tol must be >= 1e-12 (got {refine_tol})")
     grams = _gram_points_upto(t_max)
     edges = np.concatenate(([_SWEEP_START], grams))
-    cache = _assemble(t_max, _scan_blocks(edges, threads=threads), refine_tol)
+    cache = _assemble(t_max, _scan_blocks(edges), refine_tol)
     deviation = count_audit(cache)
     if abs(deviation) > 2.5:
         cache = _assemble(t_max, _scan_blocks(edges, thorough=True), refine_tol)
@@ -300,8 +321,7 @@ def _first_drift_interval(cache: ZeroCache, edges: np.ndarray) -> tuple[float, f
 
 
 def _assemble(t_max: float, brackets, refine_tol: float) -> ZeroCache:
-    roots = np.array([brentq(_fast_z, lo, hi, xtol=1e-12, rtol=8.9e-16)
-                      for lo, hi in brackets])
+    roots = _illinois_roots(brackets)
     if roots.size:
         gammas, residuals = _polish(roots, refine_tol)
     else:

@@ -441,6 +441,14 @@ def _theta_raw(t):
     return 0.5 * t * lt - 0.5 * t - math.pi / 8.0 + corr
 
 
+def _theta_deriv_raw(t):
+    inv2 = 1.0 / (t * t)
+    corr = (-_THETA_C[0] - 3.0 * _THETA_C[1] * inv2
+            - 5.0 * _THETA_C[2] * inv2 * inv2
+            - 7.0 * _THETA_C[3] * inv2 * inv2 * inv2) * inv2
+    return 0.5 * np.log(t / TWO_PI) + corr
+
+
 def theta(t: float) -> float:
     """Riemann-Siegel phase theta(t), asymptotic series, t >= 10."""
     if t < 10.0:
@@ -452,12 +460,7 @@ def theta_deriv(t: float) -> float:
     """d theta / dt (used for Newton polish and Gram-point solving)."""
     if t < 10.0:
         raise DomainError(f"theta requires t >= 10 (got {t})")
-    t = float(t)
-    inv2 = 1.0 / (t * t)
-    corr = (-_THETA_C[0] - 3.0 * _THETA_C[1] * inv2
-            - 5.0 * _THETA_C[2] * inv2 * inv2
-            - 7.0 * _THETA_C[3] * inv2 * inv2 * inv2) * inv2
-    return 0.5 * math.log(t / TWO_PI) + corr
+    return float(_theta_deriv_raw(float(t)))
 
 
 def _theta_grid(ts: np.ndarray) -> np.ndarray:
@@ -497,15 +500,6 @@ def _psi_deriv_coeffs(k: int) -> np.ndarray:
     return coeff
 
 
-def _psi_deriv(k: int, p):
-    """k-th derivative of psi at p (p may be an ndarray), via the series."""
-    u = np.asarray(p, dtype=np.float64) - 0.5
-    acc = np.zeros_like(u)
-    for c in _psi_deriv_coeffs(k)[::-1]:
-        acc = acc * u + c
-    return acc
-
-
 _PI2 = math.pi * math.pi
 
 
@@ -527,7 +521,6 @@ def _correction_coeff_table() -> np.ndarray:
 
 
 _C_TABLE = _correction_coeff_table()
-_C_LISTS = tuple(tuple(row) for row in _C_TABLE)
 
 
 def _rs_correction(p, eta):
@@ -535,15 +528,6 @@ def _rs_correction(p, eta):
     u = np.asarray(p, dtype=np.float64) - 0.5
     c0, c1, c2, c3 = _C_TABLE
     acc = np.zeros_like(u)
-    for m in range(_PSI_DEGREE, -1, -1):
-        acc = acc * u + (c0[m] + eta * (c1[m] + eta * (c2[m] + eta * c3[m])))
-    return acc
-
-
-def _rs_correction_scalar(p: float, eta: float) -> float:
-    u = p - 0.5
-    c0, c1, c2, c3 = _C_LISTS
-    acc = 0.0
     for m in range(_PSI_DEGREE, -1, -1):
         acc = acc * u + (c0[m] + eta * (c1[m] + eta * (c2[m] + eta * c3[m])))
     return acc
@@ -581,18 +565,6 @@ def _inv_sqrt(limit: int) -> np.ndarray:
     return _INV_SQRT[:limit]
 
 
-def _rs_z_scalar(t: float) -> float:
-    """Riemann-Siegel Z at a single height; cheap enough for root-finder loops."""
-    tau = math.sqrt(t / TWO_PI)
-    n = int(tau)
-    th = float(_theta_raw(t))
-    phases = th - t * _logn(n)
-    main = 2.0 * float(np.cos(phases) @ _inv_sqrt(n))
-    eta = 1.0 / tau
-    sign = 1.0 if n % 2 == 1 else -1.0
-    return main + sign * math.sqrt(eta) * _rs_correction_scalar(tau - n, eta)
-
-
 def _rs_segments(ts: np.ndarray):
     """Split an ascending height array into runs of constant floor(sqrt(t/2pi))."""
     n = np.floor(np.sqrt(ts / TWO_PI)).astype(np.int64)
@@ -605,6 +577,9 @@ def hardy_z_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and ts[0] < 10.0:
         raise DomainError("hardy_z requires t >= 10")
+    # the EM/RS split and the RS segments both read the grid as sorted
+    if not np.all(np.diff(ts) >= 0.0):
+        raise DomainError("hardy_z_grid needs ascending heights")
     out = np.empty(ts.size)
     err = np.empty(ts.size)
     lo_mask = ts < _RS_CUTOVER
@@ -654,22 +629,6 @@ def hardy_z(t: float, method: str = "auto") -> EvalResult:
     return EvalResult(complex(value), err, EULER_MACLAURIN)
 
 
-def hardy_z_deriv(t: float) -> float:
-    """dZ/dt via the Euler-Maclaurin route (used by the Newton polish)."""
-    s = complex(0.5, t)
-    z = zeta(s).value
-    zp = zeta_prime(s).value
-    return float(-(cmath.exp(1j * theta(t)) * (theta_deriv(t) * z + zp)).imag)
-
-
-def _theta_deriv_grid(ts: np.ndarray) -> np.ndarray:
-    inv2 = 1.0 / (ts * ts)
-    corr = (-_THETA_C[0] - 3.0 * _THETA_C[1] * inv2
-            - 5.0 * _THETA_C[2] * inv2 * inv2
-            - 7.0 * _THETA_C[3] * inv2 * inv2 * inv2) * inv2
-    return 0.5 * np.log(ts / TWO_PI) + corr
-
-
 def em_z_with_deriv(ts: np.ndarray, chunk: int = 128):
     """(Z, dZ/dt) on the Euler-Maclaurin route for an array of heights.
 
@@ -686,7 +645,7 @@ def em_z_with_deriv(ts: np.ndarray, chunk: int = 128):
         rotated = rot * vals[0]
         sign = np.where(rotated.real >= 0.0, 1.0, -1.0)
         z_out[sl] = sign * np.abs(vals[0])
-        dz_out[sl] = -np.imag(rot * (_theta_deriv_grid(block) * vals[0] + vals[1]))
+        dz_out[sl] = -np.imag(rot * (_theta_deriv_raw(block) * vals[0] + vals[1]))
     return z_out, dz_out
 
 

@@ -37,7 +37,7 @@ def test_criterion_1_zero_infrastructure():
     from .oracles import em_zeta_oracle
 
     start = time.perf_counter()
-    cache = zeros.sweep(1000.0, threads=1)
+    cache = zeros.sweep(1000.0)
     elapsed = time.perf_counter() - start
     deviation = zeros.count_audit(cache)
     gamma_oracle = bisect_zero(

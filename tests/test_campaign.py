@@ -5,6 +5,7 @@ import pytest
 
 from zetamoments import campaign, zeros
 from zetamoments.campaign import CampaignConfig, ReportSchemaError
+from zetamoments.zetafn import NearZeroError
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +51,21 @@ class TestRunCampaign:
         assert not names & {"j_moment", "shifted_moment", "cauchy_transfer",
                             "dyadic_reconstruction", "large_value_histogram",
                             "continuous_moment"}
+
+    def test_partial_fraction_reports_samples_used(self, cache_file, monkeypatch):
+        config = CampaignConfig(t_max=1000.0, k_list=(), cache_path=cache_file)
+        u, v = campaign._kronecker(config.seeds + 3, 20)[0]
+        skipped = complex(0.5 + 1.5 * u, 80.0 + (config.t_max - 140.0) * v)
+        real_log_deriv = campaign.log_deriv
+
+        def log_deriv(s):
+            if s == skipped:
+                raise NearZeroError("synthetic near-zero sample")
+            return real_log_deriv(s)
+
+        monkeypatch.setattr(campaign, "log_deriv", log_deriv)
+        outcomes = {o.audit_name: o for o in campaign.run_campaign(config)}
+        assert outcomes["partial_fraction_reconstruction"].sample_count == 19
 
     def test_rerun_byte_identical(self, default_run, cache_file):
         config, outcomes = default_run

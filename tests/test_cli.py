@@ -50,6 +50,18 @@ class TestValidationErrors:
         assert code == EXIT_VALIDATION
         assert "not found" in capsys.readouterr().err
 
+    def test_audit_missing_cache_file(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        code = main(["audit", "--tmax", "200", "--cache",
+                     str(tmp_path / "does-not-exist.csv"), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "not found" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_threads_flag_removed(self, tmp_path, capsys):
+        assert main(["sweep", "--tmax", "30", "--cache", str(tmp_path / "z.csv"),
+                     "--threads", "2"]) == EXIT_VALIDATION
+
     def test_computation_error_exit_code(self, monkeypatch, tmp_path, capsys):
         import zetamoments.cli as cli_mod
 
@@ -143,7 +155,7 @@ class TestHelp:
             parser.parse_args([cmd, "--help"])
         text = capsys.readouterr().out
         expected_flags = {
-            "sweep": ["--tmax", "--cache", "--refine-tol", "--threads"],
+            "sweep": ["--tmax", "--cache", "--refine-tol"],
             "moments": ["--k", "--ell", "--cache", "--out"],
             "shifted": ["--k", "--alpha-re", "--alpha-im", "--cache", "--out"],
             "largeval": ["--vmin", "--vmax", "--vstep", "--alpha-re",

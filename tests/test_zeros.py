@@ -1,10 +1,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from zetamoments import zeros
-from zetamoments.zetafn import hardy_z_grid, theta, zeta
+from zetamoments import zeros, zetafn
+from zetamoments.zetafn import hardy_z, hardy_z_grid, theta, zeta
 
 from .oracles import bisect_zero, em_zeta_oracle, sign_change_count
 
@@ -47,9 +49,21 @@ class TestSweep:
         with pytest.raises(zeros.DomainError):
             zeros.sweep(100.0, refine_tol=1e-13)
 
-    def test_threads_do_not_change_result(self, cache100):
-        threaded = zeros.sweep(100.0, threads=4)
-        assert threaded == cache100
+
+class TestIllinoisRoots:
+    def test_matches_brentq_on_public_hardy_z(self):
+        # brentq on the scalar evaluator is the reference; the T = 1e3 brackets
+        # cover both the Euler-Maclaurin (t < 200) and Riemann-Siegel routes
+        edges = np.concatenate(([zeros._SWEEP_START], zeros._gram_points_upto(1000.0)))
+        brackets = zeros._scan_blocks(edges)
+        assert brackets[0][1] < zetafn._RS_CUTOVER < brackets[-1][0]
+        roots = zeros._illinois_roots(brackets)
+        assert roots.size == len(brackets)
+        for (lo, hi), root in zip(brackets, roots):
+            ref = brentq(lambda t: hardy_z(t).value.real, lo, hi,
+                         xtol=1e-12, rtol=8.9e-16)
+            assert lo <= root <= hi
+            assert abs(root - ref) <= 1e-11
 
 
 class TestCountAudit:
@@ -102,6 +116,20 @@ class TestPersistence:
         assert loaded == cache100
         assert [r.gamma for r in loaded.records] == \
             [r.gamma for r in cache100.records]
+
+    def test_round_trip_at_loose_refine_tol(self, tmp_path):
+        # residuals of up to ~2.5e-9 are within this cache's own tolerance
+        cache = zeros.sweep(1000.0, refine_tol=1e-8)
+        path = tmp_path / "loose.csv"
+        zeros.save(cache, path)
+        assert zeros.load(path) == cache
+
+    def test_residual_above_recorded_tol_rejected(self):
+        cache = zeros.ZeroCache(
+            t_max=20.0, records=(zeros.ZeroRecord(1, GAMMA_1, 2e-8),),
+            meta=zeros.CacheMeta("test", refine_tol=1e-8))
+        with pytest.raises(zeros.CacheInvariantError):
+            cache.validate()
 
     def test_non_monotone_rejected(self, cache100, tmp_path):
         path = tmp_path / "bad.csv"

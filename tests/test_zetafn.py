@@ -176,6 +176,18 @@ class TestHardyZ:
             assert abs(rs.value - em.value) <= \
                 rs.abs_error_estimate + em.abs_error_estimate
 
+    def test_grid_rejects_non_ascending_heights(self):
+        # the EM/RS split reads the grid as sorted; unsorted input used to
+        # route t = 300 through the EM chunk silently
+        with pytest.raises(DomainError):
+            zetafn.hardy_z_grid(np.array([300.0, 100.0, 150.0, 250.0]))
+
+    def test_grid_matches_scalar_route(self):
+        ts = np.array([100.0, 150.0, 250.0, 300.0])
+        grid, _ = zetafn.hardy_z_grid(ts)
+        for t, z in zip(ts, grid):
+            assert abs(z - hardy_z(float(t)).value.real) <= 1e-9
+
 
 class TestChi:
     def test_critical_line_modulus_one(self):
