@@ -80,7 +80,10 @@ class LargeValueHistogram:
 
 @dataclass(frozen=True)
 class CauchyTransferReport:
-    """Sampled two-sided data of the derivative-moment transfer inequality."""
+    """Sampled two-sided data of the derivative-moment transfer inequality.
+
+    n_samples counts the shifts evaluated: the circle and its interior rings.
+    """
 
     k: int
     ell: int
@@ -146,46 +149,30 @@ class MajorantAuditTable:
 
 
 # ---------------------------------------------------------------------------
-# shared evaluation of zeta and derivatives at (possibly shifted) zeros
-
-_VALUE_MEMO: dict[tuple, np.ndarray] = {}
+# zeta and derivatives at (possibly shifted) zeros
 
 
-def _cache_key(cache: ZeroCache, alpha: complex, order: int) -> tuple:
-    first = cache.records[0].gamma if cache.records else 0.0
-    last = cache.records[-1].gamma if cache.records else 0.0
-    return (len(cache), cache.t_max, first, last, complex(alpha), order)
+def shift_evaluator(cache: ZeroCache) -> ZeroShiftEvaluator:
+    """The cache's Taylor table of zeta(rho + alpha), built on first use."""
+    return cache.shift_table
 
 
 def values_at_zeros(cache: ZeroCache, alpha: complex = 0.0,
                     order: int = 0) -> np.ndarray:
-    """zeta^(order)(rho + alpha) over the cached zeros, memoized."""
-    key = _cache_key(cache, alpha, order)
-    hit = _VALUE_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if len(cache) == 0:
-        vals = np.empty(0, dtype=np.complex128)
-    else:
-        vals, _ = zeta_at_heights(cache.gammas(), alpha=alpha, order=order)
-    if len(_VALUE_MEMO) > 64:
-        _VALUE_MEMO.clear()
-    _VALUE_MEMO[key] = vals
-    return vals
+    """zeta^(order)(rho + alpha) over the cached zeros.
+
+    Shifts within 1/log t_max read the cache's Taylor table; larger ones
+    take the direct Euler-Maclaurin route.
+    """
+    table = shift_evaluator(cache)
+    if table.covers(alpha):
+        return table.values(alpha, order)
+    return zeta_at_heights(cache.gammas(), alpha=alpha, order=order)[0]
 
 
-_EVALUATOR_MEMO: dict[tuple, ZeroShiftEvaluator] = {}
-
-
-def shift_evaluator(cache: ZeroCache) -> ZeroShiftEvaluator:
-    """Shared Taylor evaluator of zeta(rho+alpha) for many-shift audits."""
-    key = _cache_key(cache, 0.0, -1)
-    hit = _EVALUATOR_MEMO.get(key)
-    if hit is None:
-        hit = ZeroShiftEvaluator(cache.gammas())
-        _EVALUATOR_MEMO.clear()
-        _EVALUATOR_MEMO[key] = hit
-    return hit
+def _check_shift(t_max: float, alpha: complex) -> None:
+    if abs(alpha) > 1.0 or abs(alpha.real) > 1.0 / math.log(t_max) + 1e-15:
+        raise ValueError(f"alpha = {alpha} outside |alpha|<=1, |Re alpha|<=1/log T")
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +209,8 @@ def shifted_moment(cache: ZeroCache, k: float, alpha: complex) -> MomentReport:
     if k <= 0:
         raise ValueError(f"k must be positive (got {k})")
     alpha = complex(alpha)
+    _check_shift(cache.t_max, alpha)
     log_t = math.log(cache.t_max)
-    if abs(alpha) > 1.0 or abs(alpha.real) > 1.0 / log_t + 1e-15:
-        raise ValueError(f"alpha = {alpha} outside |alpha|<=1, |Re alpha|<=1/log T")
     vals = values_at_zeros(cache, alpha, 0)
     raw = float(np.sum(np.abs(vals) ** (2.0 * k)))
     n = len(cache)
@@ -286,75 +272,46 @@ def large_value_histogram(cache: ZeroCache, k_hint: float, alpha: complex,
         raise ValueError("empty cache")
     if cache.t_max < 100.0:
         raise DomainError("large-value parameterization needs t_max >= 100")
-    t_max = cache.t_max
     alpha = complex(alpha)
-    if abs(alpha) > 1.0 or abs(alpha.real) > 1.0 / math.log(t_max) + 1e-15:
-        raise ValueError(f"alpha = {alpha} outside |alpha|<=1, |Re alpha|<=1/log T")
-    vals = np.abs(values_at_zeros(cache, complex(alpha), 0))
+    _check_shift(cache.t_max, alpha)
     with np.errstate(divide="ignore"):
-        logs = np.log(vals)
-    finite = logs[np.isfinite(logs)]
-    max_obs = float(finite.max()) if finite.size else -math.inf
-    if v_grid is None:
-        ll = _loglog(t_max)
-        top = max(4, int(math.ceil(max_obs)) if math.isfinite(max_obs) else 4,
-                  int(math.ceil(4.0 * k_hint * ll)))
-        v_grid = [float(v) for v in range(3, top + 1)]
-    v_grid = [float(v) for v in v_grid]
-    if any(b <= a for a, b in zip(v_grid, v_grid[1:])) or not v_grid:
-        raise GridError("V grid must be nonempty and ascending")
-    if v_grid[0] < 0.0:
-        raise GridError("V grid values must be nonnegative")
-
-    counts = tuple(int((logs >= v).sum()) for v in v_grid)
-    bounds = []
-    cases = []
-    a_vals, x_vals, z_vals, v1_vals, v2_vals = [], [], [], [], []
-    ll = _loglog(t_max)
-    for v in v_grid:
-        bound, case = _vd_bound(t_max, v, len(cache))
-        bounds.append(bound)
-        cases.append(case)
-        a = _a_param(t_max, v)
-        a_vals.append(a)
-        x = min(math.sqrt(t_max), t_max ** (a / v)) if v > 0 else math.sqrt(t_max)
-        x_vals.append(x)
-        z_vals.append(x ** (1.0 / ll))
-        v1_vals.append(v * (1.0 - 9.0 / (10.0 * a)))
-        v2_vals.append(v / (10.0 * a))
-    config = LargeValueConfig(
-        t_max=t_max, alpha=complex(alpha), v_grid=tuple(v_grid),
-        a_values=tuple(a_vals), x_values=tuple(x_vals), z_values=tuple(z_vals),
-        v1_values=tuple(v1_vals), v2_values=tuple(v2_vals),
-        vacuity_threshold=vacuity_threshold(t_max),
-        vacuity_threshold_plain=vacuity_threshold(t_max, plain=True))
-    return LargeValueHistogram(config=config, counts=counts,
-                               bound_values=tuple(bounds),
-                               bound_cases=tuple(cases),
-                               n_zeros=len(cache), max_observed=max_obs)
+        logs = np.log(np.abs(values_at_zeros(cache, alpha, 0)))
+    return _histogram(logs, cache.t_max, alpha, k_hint, v_grid)
 
 
 def histogram_from_values(log_values, t_max: float, alpha: complex = 0.0,
                           v_grid=None) -> LargeValueHistogram:
     """Histogram over explicit log|zeta| values (synthetic-data entry point)."""
     logs = np.asarray(log_values, dtype=np.float64)
-    max_obs = float(logs.max()) if logs.size else -math.inf
-    if v_grid is None:
-        top = max(4, int(math.ceil(max_obs)) if math.isfinite(max_obs) else 4)
-        v_grid = [float(v) for v in range(3, top + 1)]
-    v_grid = [float(v) for v in v_grid]
-    counts = tuple(int((logs >= v).sum()) for v in v_grid)
-    bounds, cases = [], []
-    for v in v_grid:
-        bound, case = _vd_bound(t_max, v, logs.size)
-        bounds.append(bound)
-        cases.append(case)
+    return _histogram(logs, t_max, complex(alpha), 0.0, v_grid)
+
+
+def _histogram(logs: np.ndarray, t_max: float, alpha: complex, k_hint: float,
+               v_grid) -> LargeValueHistogram:
+    """Counts, bound values and per-V configuration for one set of log|zeta|.
+
+    The default V grid is 3, 4, ... up to the largest finite value, at least
+    4 and at least 4 k_hint log log T.
+    """
+    finite = logs[np.isfinite(logs)]
+    max_obs = float(finite.max()) if finite.size else -math.inf
     ll = _loglog(t_max)
+    if v_grid is None:
+        top = max(4, math.ceil(max_obs) if finite.size else 4,
+                  math.ceil(4.0 * k_hint * ll))
+        v_grid = range(3, top + 1)
+    v_grid = [float(v) for v in v_grid]
+    if any(b <= a for a, b in zip(v_grid, v_grid[1:])) or not v_grid:
+        raise GridError("V grid must be nonempty and ascending")
+    if v_grid[0] < 0.0:
+        raise GridError("V grid values must be nonnegative")
+    counts = tuple(int((logs >= v).sum()) for v in v_grid)
+    bounds, cases = zip(*(_vd_bound(t_max, v, logs.size) for v in v_grid))
     a_vals = tuple(_a_param(t_max, v) for v in v_grid)
-    x_vals = tuple(min(math.sqrt(t_max), t_max ** (a / v))
-                   for a, v in zip(a_vals, v_grid))
+    x_vals = tuple(min(math.sqrt(t_max), t_max ** (a / v)) if v > 0
+                   else math.sqrt(t_max) for a, v in zip(a_vals, v_grid))
     config = LargeValueConfig(
-        t_max=t_max, alpha=complex(alpha), v_grid=tuple(v_grid),
+        t_max=t_max, alpha=alpha, v_grid=tuple(v_grid),
         a_values=a_vals, x_values=x_vals,
         z_values=tuple(x ** (1.0 / ll) for x in x_vals),
         v1_values=tuple(v * (1.0 - 9.0 / (10.0 * a))
@@ -363,8 +320,7 @@ def histogram_from_values(log_values, t_max: float, alpha: complex = 0.0,
         vacuity_threshold=vacuity_threshold(t_max),
         vacuity_threshold_plain=vacuity_threshold(t_max, plain=True))
     return LargeValueHistogram(config=config, counts=counts,
-                               bound_values=tuple(bounds),
-                               bound_cases=tuple(cases),
+                               bound_values=bounds, bound_cases=cases,
                                n_zeros=int(logs.size), max_observed=max_obs)
 
 
@@ -416,6 +372,11 @@ def _disk_samples(radius: float, n_samples: int) -> list[complex]:
 
 def cauchy_transfer_report(cache: ZeroCache, k: int, ell: int, radius: float,
                            n_samples: int = 64) -> CauchyTransferReport:
+    """Sampled max over the disk |alpha| <= radius against the LHS moment.
+
+    n_samples points go on the circle and a quarter as many (at least 8) on
+    each of four interior rings.
+    """
     if k < 1 or ell < 1:
         raise ValueError("k and ell must be >= 1")
     if not (0.0 < radius <= 1.0 / math.log(cache.t_max) + 1e-15):
@@ -425,16 +386,17 @@ def cauchy_transfer_report(cache: ZeroCache, k: int, ell: int, radius: float,
     lhs_vals = values_at_zeros(cache, 0.0, ell)
     lhs = float(np.sum(np.abs(lhs_vals) ** (2.0 * k)))
     evaluator = shift_evaluator(cache)
+    samples = _disk_samples(radius, n_samples)
     best = -math.inf
     best_alpha = 0.0 + 0.0j
-    for alpha in _disk_samples(radius, n_samples):
+    for alpha in samples:
         vals = evaluator.values(alpha)
         total = float(np.sum(np.abs(vals) ** (2.0 * k)))
         if total > best:
             best, best_alpha = total, alpha
     prefactor = (math.factorial(ell) / radius ** ell) ** (2.0 * k)
     return CauchyTransferReport(k=k, ell=ell, radius=radius,
-                                n_samples=n_samples, lhs=lhs,
+                                n_samples=len(samples), lhs=lhs,
                                 rhs_sampled=prefactor * best,
                                 prefactor=prefactor, argmax_alpha=best_alpha)
 

@@ -29,12 +29,13 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import zetafn
-from .zetafn import DomainError, hardy_z_grid, theta, theta_deriv
+from .zetafn import DomainError, ZeroShiftEvaluator, hardy_z_grid, theta, theta_deriv
 from .zetafn import hardy_z  # noqa: F401 -- perfbench's tracer wraps zeros.hardy_z
 
 _SCAN_STEP = 0.05
@@ -99,6 +100,15 @@ class ZeroCache:
 
     def gammas(self) -> np.ndarray:
         return np.array([r.gamma for r in self.records], dtype=np.float64)
+
+    @cached_property
+    def shift_table(self) -> ZeroShiftEvaluator:
+        """Taylor table of zeta(rho + alpha) at these zeros, built on first use.
+
+        The records are an immutable tuple, so the instance is the table's
+        whole identity; a truncated or reloaded cache builds its own.
+        """
+        return ZeroShiftEvaluator(self.gammas(), self.t_max)
 
     def truncated(self, t_max: float) -> "ZeroCache":
         """Sub-cache of zeros with gamma <= t_max (shares records)."""

@@ -21,10 +21,8 @@ from .zetafn import CONSTANTS, digamma
 
 TWO_PI = 2.0 * math.pi
 
-# Constant term of the partial-fraction decomposition of zeta'/zeta.  This is
-# the Hadamard-product value log(2 pi) - 1 - gamma_0/2; CONSTANTS.B keeps the
-# differently-printed combination for reference, but the reconstruction needs
-# the working value (empirically the two differ by exactly 3*gamma_0/2).
+# Constant term of the partial-fraction decomposition of zeta'/zeta: the
+# Hadamard-product value log(2 pi) - 1 - gamma_0/2.
 _B_PARTIAL_FRACTION = math.log(TWO_PI) - 1.0 - 0.5 * CONSTANTS.euler_gamma0
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from zetamoments import moments
+from zetamoments import moments, zetafn
 from zetamoments.moments import (
     GridError,
     cauchy_transfer_audit,
@@ -167,6 +167,21 @@ class TestCauchyTransfer:
         assert cauchy_transfer_audit(cache1000, 1, 1, 1.0 / lt) >= 0.95
         assert cauchy_transfer_audit(cache1000, 1, 2, 1.0 / lt) >= 0.95
 
+    def test_reports_every_shift_it_evaluates(self, cache1000, monkeypatch):
+        radius = 1.0 / math.log(1000.0)
+        shifts = []
+        values = zetafn.ZeroShiftEvaluator.values
+
+        def counted(self, alpha, order=0):
+            if order == 0:
+                shifts.append(alpha)
+            return values(self, alpha, order)
+
+        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted)
+        rep = cauchy_transfer_report(cache1000, 1, 1, radius)
+        assert rep.n_samples == len(shifts) == 128
+        assert shifts == moments._disk_samples(radius, 64)
+
     def test_validation(self, cache1000):
         with pytest.raises(ValueError):
             cauchy_transfer_audit(cache1000, 0, 1, 0.1)
@@ -246,3 +261,43 @@ class TestEvaluatorConsistency:
             fast = ev.values(alpha)
             scale = np.abs(direct).max()
             assert np.abs(direct - fast).max() <= 1e-10 * max(1.0, scale)
+
+    def test_table_matches_em_route(self, cache1000):
+        gammas = cache1000.gammas()
+        lt = math.log(1000.0)
+        cases = [(0.0, ell) for ell in (0, 1, 2)] + [
+            (alpha, 0) for alpha in (1.0 / lt, -1.0 / lt, complex(0.0, 1.0 / lt),
+                                     complex(0.07, -0.09))]
+        for alpha, ell in cases:
+            direct, _ = zetafn.zeta_at_heights(gammas, alpha, ell)
+            table = moments.values_at_zeros(cache1000, alpha, ell)
+            scale = np.abs(direct).max()
+            assert np.abs(direct - table).max() <= 1e-10 * max(1.0, scale)
+
+    def test_shift_beyond_table_radius_takes_em_route(self, cache1000):
+        direct, _ = zetafn.zeta_at_heights(cache1000.gammas(), 0.5j, 0)
+        assert np.array_equal(moments.values_at_zeros(cache1000, 0.5j, 0), direct)
+        with pytest.raises(zetafn.DomainError):
+            moments.shift_evaluator(cache1000).values(0.5j)
+
+
+@pytest.mark.parametrize("fixture", ["cache1000", "cache10k"])
+def test_table_within_committed_error_of_mpmath(fixture, request):
+    """Independent check of the shift table: at 12 zeros per height, each
+    value lies within the error zeta_at_heights commits at the same point."""
+    mpmath = pytest.importorskip("mpmath")
+    cache = request.getfixturevalue(fixture)
+    gammas = cache.gammas()
+    idx = np.linspace(0, gammas.size - 1, 12).astype(int)
+    lt = math.log(cache.t_max)
+    cases = [(0.0, 1), (0.0, 2), (1.0 / lt, 0), (-1.0 / lt, 0), (1j / lt, 0)]
+    with mpmath.workdps(20):
+        for alpha, ell in cases:
+            alpha = complex(alpha)
+            table = moments.values_at_zeros(cache, alpha, ell)[idx]
+            _, committed = zetafn.zeta_at_heights(gammas[idx], alpha, ell)
+            for g, value, err in zip(gammas[idx], table, committed):
+                s = mpmath.mpc(mpmath.mpf(0.5) + alpha.real,
+                               mpmath.mpf(g) + alpha.imag)
+                truth = complex(mpmath.zeta(s, derivative=ell))
+                assert abs(value - truth) <= err, (g, alpha, ell)

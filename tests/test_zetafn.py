@@ -31,10 +31,6 @@ class TestConstants:
         lam = CONSTANTS.lambda0
         assert abs(math.exp(-lam) - lam) < 1e-14
 
-    def test_b_combination(self):
-        expect = math.log(2.0 * math.pi) - 1.0 - 2.0 * CONSTANTS.euler_gamma0
-        assert abs(CONSTANTS.B - expect) < 1e-15
-
     def test_delta0_reference(self):
         d = CONSTANTS.delta0_reference
         assert abs(math.exp(-d) - d - 0.5 * d * d) < 1e-14
