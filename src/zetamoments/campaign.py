@@ -317,7 +317,14 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
 # report serialization (17 significant digits, deterministic ordering)
 
 
-def _emit(obj) -> str:
+def to_json(obj) -> str:
+    """Deterministic JSON text for reports and command output.
+
+    Floats carry 17 significant digits, so they read back bit for bit; NaN
+    and infinities become the strings "nan", "inf" and "-inf"; complex
+    numbers become {"re": ..., "im": ...}; dicts keep their insertion
+    order; no whitespace is added.  Raises TypeError on any other type.
+    """
     if isinstance(obj, float):
         if math.isnan(obj):
             return '"nan"'
@@ -333,11 +340,11 @@ def _emit(obj) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, complex):
-        return _emit({"re": obj.real, "im": obj.imag})
+        return to_json({"re": obj.real, "im": obj.imag})
     if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_emit(v) for v in obj) + "]"
+        return "[" + ",".join(to_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        return "{" + ",".join(f"{json.dumps(k)}:{_emit(v)}"
+        return "{" + ",".join(f"{json.dumps(k)}:{to_json(v)}"
                               for k, v in obj.items()) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -354,7 +361,7 @@ def report_document(config: CampaignConfig, outcomes: list[AuditOutcome]) -> dic
 
 
 def render_report(config: CampaignConfig, outcomes: list[AuditOutcome]) -> str:
-    return _emit(report_document(config, outcomes)) + "\n"
+    return to_json(report_document(config, outcomes)) + "\n"
 
 
 def write_report(path, config: CampaignConfig, outcomes: list[AuditOutcome]) -> None:

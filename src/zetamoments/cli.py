@@ -42,7 +42,7 @@ def _progress(msg: str) -> None:
 def _emit_rows(rows: list[dict], out: str | None) -> None:
     """JSON to stdout, or CSV/JSON file chosen by the --out extension."""
     if out is None:
-        print(campaign._emit(rows))
+        print(campaign.to_json(rows))
         return
     if out.endswith(".csv"):
         with open(out, "w", newline="", encoding="utf-8") as fh:
@@ -53,7 +53,7 @@ def _emit_rows(rows: list[dict], out: str | None) -> None:
                                      else v) for k, v in row.items()})
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(campaign._emit(rows) + "\n")
+            fh.write(campaign.to_json(rows) + "\n")
     _progress(f"wrote {out}")
 
 
@@ -86,7 +86,7 @@ def _cmd_sweep(args) -> int:
     _progress(f"sweeping zeros up to t = {args.tmax} ...")
     cache = zeros.sweep(args.tmax, refine_tol=args.refine_tol)
     zeros.save(cache, args.cache)
-    print(campaign._emit({
+    print(campaign.to_json({
         "t_max": cache.t_max, "count": len(cache),
         "count_audit": zeros.count_audit(cache), "cache": args.cache,
     }))
@@ -204,7 +204,7 @@ def _emit_report(config: CampaignConfig, outcomes: list[AuditOutcome],
 
 def _cmd_diff(args) -> int:
     summary = campaign.compare_reports(args.report_a, args.report_b)
-    print(campaign._emit(summary))
+    print(campaign.to_json(summary))
     return EXIT_OK
 
 

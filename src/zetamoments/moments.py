@@ -428,11 +428,9 @@ def continuous_moment(k: float, t_max: float, step: float) -> float:
         n_iv += 1
     ts = np.linspace(1.0, t_max, n_iv + 1)
     mods = np.empty(ts.size)
-    below = ts < 10.0
-    n_below = int(below.sum())
+    n_below = int(np.searchsorted(ts, 10.0))    # hardy_z_grid needs t >= 10
     if n_below:
-        mods[:n_below] = np.abs([zeta(complex(0.5, float(t))).value
-                                 for t in ts[:n_below]])
+        mods[:n_below] = np.abs(zeta_at_heights(ts[:n_below])[0])
     if n_below < ts.size:
         zvals, _ = hardy_z_grid(ts[n_below:])
         mods[n_below:] = np.abs(zvals)

@@ -121,13 +121,13 @@ class TestCompareReports:
 
 class TestSerialization:
     def test_float_17_digits(self):
-        assert campaign._emit(1.0 / 3.0) == "0.33333333333333331"
-        assert campaign._emit([1, "a", None, True]) == '[1,"a",null,true]'
-        assert campaign._emit(complex(1.5, -2.0)) == '{"re":1.5,"im":-2}'
+        assert campaign.to_json(1.0 / 3.0) == "0.33333333333333331"
+        assert campaign.to_json([1, "a", None, True]) == '[1,"a",null,true]'
+        assert campaign.to_json(complex(1.5, -2.0)) == '{"re":1.5,"im":-2}'
 
     def test_nan_and_inf(self):
-        assert campaign._emit(float("nan")) == '"nan"'
-        assert campaign._emit(float("inf")) == '"inf"'
+        assert campaign.to_json(float("nan")) == '"nan"'
+        assert campaign.to_json(float("inf")) == '"inf"'
 
     def test_kronecker_deterministic(self):
         a = campaign._kronecker(7, 16)

@@ -184,6 +184,19 @@ class TestHardyZ:
         for t, z in zip(ts, grid):
             assert abs(z - hardy_z(float(t)).value.real) <= 1e-9
 
+    def test_correction_series_degree_drops_nothing(self, monkeypatch):
+        # C0..C3 at the shipped Horner degree against the same series carried
+        # to degree 72, on the whole interval |u| <= 1/2, for eta = (t/2pi)^(-1/2)
+        # from the Riemann-Siegel route's floor t = 4 pi upward
+        p = np.linspace(0.0, 1.0, 2001)
+        etas = (2.0 ** -0.5, 0.3, 0.177, 0.05, 0.01)
+        shipped = [zetafn._rs_correction(p, eta) for eta in etas]
+        monkeypatch.setattr(zetafn, "_PSI_DEGREE", 72)
+        monkeypatch.setattr(zetafn, "_PSI_B", zetafn._psi_series())
+        monkeypatch.setattr(zetafn, "_C_TABLE", zetafn._correction_coeff_table())
+        for eta, got in zip(etas, shipped):
+            assert np.abs(zetafn._rs_correction(p, eta) - got).max() <= 1e-15
+
 
 class TestChi:
     def test_critical_line_modulus_one(self):
@@ -201,6 +214,21 @@ class TestChi:
         r = chi(complex(0.6, 100.0))
         expect = (100.0 / (2.0 * math.pi)) ** (-0.1)
         assert abs(abs(r.value) - expect) / expect <= 2.0 / 100.0
+
+    def test_error_estimate_dominates_mpmath(self):
+        # zero failures allowed; the first point once exceeded its estimate
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(46)
+        points = [complex(-0.07744590465028889, 2180.8910187232514)]
+        points += [complex(sigma, t) for sigma, t in
+                   zip(rng.uniform(-1.0, 2.0, 300), 10.0 ** rng.uniform(1.0, 5.0, 300))]
+        with mpmath.workdps(30):
+            for s in points:
+                m = mpmath.mpc(s.real, s.imag)
+                truth = complex(mpmath.power(2, m) * mpmath.power(mpmath.pi, m - 1)
+                                * mpmath.sin(mpmath.pi * m / 2) * mpmath.gamma(1 - m))
+                r = chi(s)
+                assert abs(r.value - truth) <= r.abs_error_estimate, s
 
 
 class TestLogGamma:
