@@ -304,9 +304,12 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
     _safe(cauchy, "cauchy_transfer", outcomes)
 
     def continuous():
-        for k in config.k_list:
-            val = moments.continuous_moment(k, min(config.t_max, 2000.0), 0.01)
-            scale = math.log(min(config.t_max, 2000.0)) ** (k * k)
+        ks = tuple(config.k_list)
+        if not ks:
+            return
+        t_top = min(config.t_max, 2000.0)
+        for k, val in zip(ks, moments.continuous_moment(ks, t_top, 0.01)):
+            scale = math.log(t_top) ** (k * k)
             add(AuditOutcome(f"continuous_moment[k={k:g}]", val / scale, 0.0, 1,
                              f"value {val:.6g}"))
 

@@ -411,14 +411,18 @@ def cauchy_transfer_audit(cache: ZeroCache, k: int, ell: int, radius: float,
 # continuous moment
 
 
-def continuous_moment(k: float, t_max: float, step: float) -> float:
+def continuous_moment(k: float | tuple[float, ...], t_max: float,
+                      step: float) -> float | tuple[float, ...]:
     """(1/T) integral_1^T |zeta(1/2+it)|^{2k} dt by composite Simpson.
 
     Starts at t = 1; the omitted [0, 1] sliver contributes O(1/T) relative
-    (the integrand is bounded there by |zeta(1/2)|^{2k} ~ 2.1^k).
+    (the integrand is bounded there by |zeta(1/2)|^{2k} ~ 2.1^k).  A tuple
+    of k gives a tuple with one value per k, all from one |zeta| grid.
     """
-    if k <= 0:
-        raise ValueError(f"k must be positive (got {k})")
+    ks = k if isinstance(k, tuple) else (k,)
+    for kk in ks:
+        if kk <= 0:
+            raise ValueError(f"k must be positive (got {kk})")
     if step > 0.01:
         raise ValueError(f"step must be <= 0.01 (got {step})")
     if t_max <= 1.0:
@@ -434,11 +438,14 @@ def continuous_moment(k: float, t_max: float, step: float) -> float:
     if n_below < ts.size:
         zvals, _ = hardy_z_grid(ts[n_below:])
         mods[n_below:] = np.abs(zvals)
-    f = mods ** (2.0 * k)
     h = (t_max - 1.0) / n_iv
-    integral = (h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum()
-                            + 2.0 * f[2:-2:2].sum())
-    return float(integral / t_max)
+    values = []
+    for kk in ks:
+        f = mods ** (2.0 * kk)
+        integral = (h / 3.0) * (f[0] + f[-1] + 4.0 * f[1:-1:2].sum()
+                                + 2.0 * f[2:-2:2].sum())
+        values.append(float(integral / t_max))
+    return tuple(values) if isinstance(k, tuple) else values[0]
 
 
 # ---------------------------------------------------------------------------

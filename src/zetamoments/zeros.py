@@ -71,6 +71,16 @@ class UnresolvedBlockError(RuntimeError):
             "after subdivision to step 1e-4")
 
 
+class RefinementShortfallError(RuntimeError):
+    """Newton polish left residuals |Z(gamma)| above the requested refine_tol."""
+
+    def __init__(self, count: int, worst: float, gamma: float, refine_tol: float):
+        self.count, self.worst, self.gamma = count, worst, gamma
+        super().__init__(
+            f"{count} residual(s) above refine_tol = {refine_tol:g}; largest "
+            f"{worst:.3e} at t = {gamma:.6f}")
+
+
 @dataclass(frozen=True)
 class ZeroRecord:
     """One nontrivial zero: rank, ordinate, and refinement residual."""
@@ -299,7 +309,10 @@ def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
     """Locate all critical-line zeros with 0 < gamma <= t_max.
 
     t_max down to 10.5 is accepted (an empty result below the first zero is
-    legitimate); the supported ceiling is 1e5.
+    legitimate); the supported ceiling is 1e5.  Raises
+    RefinementShortfallError when the polish leaves any residual above
+    refine_tol: the Euler-Maclaurin noise floor rises with t, so small
+    tolerances at large heights can be out of reach.
     """
     if not (10.5 <= t_max <= 1e5):
         raise DomainError(f"t_max must lie in [10.5, 1e5] (got {t_max})")
@@ -315,6 +328,12 @@ def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
         if abs(deviation) > 2.5:
             lo, hi = _first_drift_interval(cache, edges)
             raise UnresolvedBlockError(lo, hi, deviation)
+    residuals = np.array([r.residual for r in cache.records])
+    short = int((residuals > refine_tol).sum())
+    if short:
+        worst = int(np.argmax(residuals))
+        raise RefinementShortfallError(short, float(residuals[worst]),
+                                       cache.records[worst].gamma, refine_tol)
     return cache
 
 

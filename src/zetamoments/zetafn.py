@@ -21,12 +21,18 @@ Evaluation strategy:
   real on the positive axis); Re s <= 0 goes through the reflection formula
   with principal logs, which is adequate for every in-package consumer since
   they only exponentiate the result.
+* Every Euler-Maclaurin main sum reads k^{-it} for k < N from
+  ``_n_pow_it``: one exponential per prime, and each composite as the
+  product of the values at its smallest prime factor and its cofactor, so a
+  value depends on k and t alone.  The twelve Bernoulli corrections are one
+  vectorized pass over the factors s + j, j = 0..24.
 
 All functions assume Im s >= 0 internally and extend by conjugation, so
 ``zeta(conj(s)) == conj(zeta(s))`` holds bit-for-bit.
 
-Everything here is pure; the only module state is a lazily grown read-only
-table of log n.
+Everything here is pure; the only module state is two lazily grown read-only
+tables: log n, and the sieve plan (the primes and, per count of prime
+factors, the composites with their splits).
 """
 
 from __future__ import annotations
@@ -63,6 +69,20 @@ _B2K = (
 )
 
 _EM_TERMS = 12          # Bernoulli corrections actually summed
+
+
+def _em_coefficients():
+    """B_{2r}/(2r)! for r = 1.._EM_TERMS, and |B_{2r}|/(2r)! for the first omitted r."""
+    coeff, fact = [], 2.0
+    for r in range(1, _EM_TERMS + 1):
+        coeff.append(_B2K[r - 1] / fact)
+        fact *= (2 * r + 1) * (2 * r + 2)
+    return np.array(coeff), abs(_B2K[_EM_TERMS]) / fact
+
+
+_EM_COEFF, _EM_NEXT_COEFF = _em_coefficients()
+_EM_SHIFTS = np.arange(2 * _EM_TERMS + 1, dtype=np.float64)[:, None]  # j in s + j
+_EM_R = np.arange(_EM_TERMS, dtype=np.float64)[:, None]               # r - 1
 _RS_CUTOVER = 200.0     # hardy_z switches to Riemann-Siegel above this t
 _RS_ERR_CONST = 0.02    # remainder after C3, times (t/2pi)^(-9/4); audited
 _POLE_RADIUS = 1e-10
@@ -138,6 +158,70 @@ def _logn(limit: int) -> np.ndarray:
     return _LOGN[:limit]
 
 
+# ---------------------------------------------------------------------------
+# k^{-it} from the primes: the sieve plan, grown on demand, never shrunk.
+#
+# k -> k^{-it} is completely multiplicative, so only the primes need an
+# exponential; a composite k is the product of the values at spf(k), its
+# smallest prime factor, and at k // spf(k), which has one prime factor
+# fewer.  The plan holds zero-based rows: the primes, and for each count L
+# >= 2 of prime factors (with multiplicity) the ascending composites with L
+# factors and their two factor rows.  Every split depends on k alone, so a
+# prefix of the plan serves any smaller n.
+
+_PLAN_SIZE = 0
+_PLAN = None               # built on first use
+
+
+def _sieve_plan(limit: int):
+    """(prime rows, [(composite rows, spf rows, cofactor rows) per level])
+    covering at least 1..limit."""
+    global _PLAN, _PLAN_SIZE
+    if limit > _PLAN_SIZE:
+        from .primes import SieveTable          # primes imports this module
+        size = max(limit, int(1.5 * _PLAN_SIZE), 4096)
+        _PLAN, _PLAN_SIZE = None, 0             # free the old plan first
+        spf = SieveTable(size).smallest_prime_factor
+        spf[:2] = 1
+        cof = np.arange(size + 1)
+        cof //= spf
+        levels = np.zeros(size + 1, dtype=np.int8)
+        while True:                             # Omega(k) = Omega(k // spf) + 1
+            nxt = levels[cof] + 1
+            nxt[:2] = 0
+            if np.array_equal(nxt, levels):
+                break
+            levels = nxt
+        plan = []
+        for level in range(2, int(levels.max()) + 1):
+            comp = np.flatnonzero(levels == level)
+            plan.append((comp - 1, spf[comp] - 1, cof[comp] - 1))
+        _PLAN = (np.flatnonzero(levels == 1) - 1, plan)
+        _PLAN_SIZE = size
+    return _PLAN
+
+
+def _n_pow_it(ts: np.ndarray, n: int) -> np.ndarray:
+    """k^{-i*ts} for k = 1..n as an (n, len(ts)) complex array.
+
+    One exponential per prime <= n; every composite is one complex product
+    per level.  Row k-1 depends on k and ts alone, whatever n is.
+    """
+    primes, levels = _sieve_plan(n)
+    e = np.empty((n, ts.size), dtype=np.complex128)
+    e[0] = 1.0
+    rows = primes[: np.searchsorted(primes, n)]
+    e[rows] = np.exp(-1j * np.multiply.outer(_logn(n)[rows], ts))
+    for comp, spf, cof in levels:
+        stop = np.searchsorted(comp, n)
+        if stop == 0:
+            break
+        product = e[spf[:stop]]
+        product *= e[cof[:stop]]
+        e[comp[:stop]] = product
+    return e
+
+
 def em_truncation(t: float) -> int:
     """Euler-Maclaurin main-sum length for height t."""
     return max(20, int(math.ceil(2.0 * abs(t) / math.pi)))
@@ -180,17 +264,16 @@ def _zeta_em_batch(sigma: float, ts: np.ndarray, n_terms: int, max_order: int):
     n = n_terms
     logn = _logn(n - 1)                       # log 1 .. log(n-1)
     amp = np.exp(-sigma * logn)
-    phase = np.multiply.outer(ts, logn)
-    terms = amp * np.exp(-1j * phase)         # n^{-s}, shape (m, n-1)
-
-    sums = [terms.sum(axis=1)]
-    if max_order >= 1:
-        work = terms * (-logn)
-        sums.append(work.sum(axis=1))
-        for _ in range(2, max_order + 1):
-            work *= -logn
-            sums.append(work.sum(axis=1))
-    del terms
+    # (n-1, 2m): Re and Im of k^{-it} side by side.  einsum sums each column
+    # over k in order, so a value does not depend on the other heights; BLAS
+    # products were measured to change bits with the batch size.
+    e = _n_pow_it(ts, n - 1).view(np.float64)
+    weights = amp.copy()
+    sums = [np.einsum("k,ki->i", weights, e).view(np.complex128)]
+    for _ in range(max_order):
+        weights *= -logn
+        sums.append(np.einsum("k,ki->i", weights, e).view(np.complex128))
+    del e
 
     boundary, trunc = _em_boundary(sigma + 1j * ts, n, max_order)
     values = [a + b for a, b in zip(sums, boundary)]
@@ -209,46 +292,33 @@ def _em_boundary(s: np.ndarray, n, max_order: int):
     for j = 0..max_order, and bound is the remainder bound, the first
     omitted correction times |s+2m+1|/(sigma+2m+1).
     """
+    n = np.asarray(n, dtype=np.float64)
     log_n = np.log(n)
     n_pow = np.exp(-s * log_n)                # N^{-s}
     half = 0.5 * n_pow
     tail = n_pow * (n / (s - 1.0))            # N^{1-s}/(s-1)
-    terms = [half + tail]
-    if max_order >= 1:
-        u_tail = -log_n - 1.0 / (s - 1.0)
-        terms.append(-log_n * half + tail * u_tail)
-    if max_order >= 2:
-        du_tail = 1.0 / (s - 1.0) ** 2
-        terms.append(log_n * log_n * half + tail * (u_tail * u_tail + du_tail))
 
-    # Bernoulli corrections T_r = B_{2r}/(2r)! * prod_{j=0}^{2r-2}(s+j) * N^{1-s-2r}
-    fact = 2.0
-    prod = s                                   # prod_{j=0}^{0}(s+j)
+    # Bernoulli corrections T_r = B_{2r}/(2r)! * prod_{j=0}^{2r-2}(s+j) * N^{1-s-2r},
+    # one row per r: prod is row 2r-2 of the running product of s+j
+    s_j = s + _EM_SHIFTS
+    prod = np.cumprod(s_j, axis=0)
+    rows = slice(0, 2 * _EM_TERMS, 2)
+    corr = _EM_COEFF[:, None] * prod[rows] * (n_pow / n * (n * n) ** -_EM_R)
+    terms = [half + tail + corr.sum(axis=0)]
     if max_order >= 1:
-        recip = 1.0 / s                        # sum_j 1/(s+j)
-        recip2 = recip * recip                 # sum_j 1/(s+j)^2
-    scale = n_pow / n                          # N^{-s-2r+1} at r = 1
-    for r in range(1, _EM_TERMS + 1):
-        t_r = (_B2K[r - 1] / fact) * prod * scale
-        terms[0] += t_r
-        if max_order >= 1:
-            u = recip - log_n
-            terms[1] += t_r * u
-        if max_order >= 2:
-            terms[2] += t_r * (u * u - recip2)
-        # advance to r+1: multiply prod by (s+2r-1)(s+2r), fact by (2r+1)(2r+2)
-        a = s + (2 * r - 1)
-        b = s + (2 * r)
-        prod = prod * a * b
-        if max_order >= 1:
-            recip = recip + 1.0 / a + 1.0 / b
-            recip2 = recip2 + 1.0 / (a * a) + 1.0 / (b * b)
-        fact *= (2 * r + 1) * (2 * r + 2)
-        scale = scale / (n * n)
+        inv = 1.0 / s_j
+        u = np.cumsum(inv, axis=0)[rows] - log_n        # sum_j 1/(s+j) - log N
+        u_tail = -log_n - 1.0 / (s - 1.0)
+        terms.append(-log_n * half + tail * u_tail + (corr * u).sum(axis=0))
+    if max_order >= 2:
+        recip2 = np.cumsum(inv * inv, axis=0)[rows]      # sum_j 1/(s+j)^2
+        du_tail = 1.0 / (s - 1.0) ** 2
+        terms.append(log_n * log_n * half + tail * (u_tail * u_tail + du_tail)
+                     + (corr * (u * u - recip2)).sum(axis=0))
 
     m2 = 2 * _EM_TERMS
     sigma = s.real
-    bound = (abs(_B2K[_EM_TERMS]) / fact) * np.abs(prod) * (n ** (-sigma - m2 - 1))
+    bound = _EM_NEXT_COEFF * np.abs(prod[m2]) * (n ** (-sigma - m2 - 1))
     bound *= np.abs(s + (m2 + 1)) / (sigma + m2 + 1)
     return terms, bound
 
@@ -367,8 +437,8 @@ class ZeroShiftEvaluator:
     bucket of gamma_i + 1:
 
     * main sum: sum_n n^{-rho} (-log n)^j / j!, taken per bucket chunk as
-      the real products cos(gamma log n) @ V and sin(gamma log n) @ V with
-      V[n, j] = n^{-1/2} (-log n)^j / j!;
+      one real product of V^T, V[n, j] = n^{-1/2} (-log n)^j / j!, with the
+      real and imaginary parts of n^{-i gamma} from _n_pow_it;
     * boundary terms (N^{-s}/2, the pole tail, the Bernoulli corrections):
       the discrete Fourier transform of 32 samples on |alpha| = 2 * radius.
 
@@ -389,21 +459,16 @@ class ZeroShiftEvaluator:
         n_max = max((n for _, n in runs), default=1)
         logn = _logn(n_max - 1)
         v = np.exp(-0.5 * logn)[:, None] * (-logn[:, None]) ** j / self._facts
-        coeff = np.empty((gammas.size, j.size), dtype=np.complex128)
-        trunc = np.empty(gammas.size)
-        for sl, n in runs:
-            phase = np.multiply.outer(gammas[sl], logn[: n - 1])
-            trig = np.cos(phase)
-            coeff[sl] = trig @ v[: n - 1]
-            coeff[sl] -= 1j * (np.sin(phase, out=trig) @ v[: n - 1])
-            trunc[sl] = n
         r = 2.0 * self.radius
-        s0 = 0.5 + 1j * gammas
-        for m in range(_CIRCLE_SAMPLES):
-            w = cmath.exp(2j * math.pi * m / _CIRCLE_SAMPLES)
-            weights = w ** -j / (_CIRCLE_SAMPLES * r ** j)
-            boundary, _ = _em_boundary(s0 + r * w, trunc, 0)
-            coeff += np.multiply.outer(boundary[0], weights)
+        w = np.exp(2j * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)[:, None]
+        dft = w ** -j / (_CIRCLE_SAMPLES * r ** j)
+        coeff = np.empty((gammas.size, j.size), dtype=np.complex128)
+        for sl, n in runs:
+            main = v[: n - 1].T @ _n_pow_it(gammas[sl], n - 1).view(np.float64)
+            coeff[sl] = main.view(np.complex128).T
+            s = (0.5 + 1j * gammas[sl]) + r * w                 # (samples, zeros)
+            boundary, _ = _em_boundary(s.ravel(), n, 0)
+            coeff[sl] += boundary[0].reshape(s.shape).T @ dft
         self._coeff = coeff
 
     def covers(self, alpha: complex) -> bool:

@@ -151,3 +151,50 @@ def sign_change_count(z_func_grid, lo: float, hi: float, step: float) -> int:
     zs = z_func_grid(ts)
     sign = np.sign(zs)
     return int((sign[:-1] * sign[1:] < 0).sum())
+
+
+def em_boundary_loop(s, n, max_order: int, terms: int = 12):
+    """Euler-Maclaurin boundary terms one Bernoulli correction at a time.
+
+    The loop that the package's one-pass boundary routine replaced, kept as
+    its reference: s is an array, n an int or an array like s.  Returns
+    (terms, bound) with terms[j] the j-th s-derivative of N^{-s}/2 +
+    N^{1-s}/(s-1) + sum_r B_2r/(2r)! prod_{j<=2r-2}(s+j) N^{1-s-2r}, and
+    bound the first omitted correction times |s+2m+1|/(sigma+2m+1).
+    """
+    import numpy as np
+    log_n = np.log(n)
+    n_pow = np.exp(-s * log_n)
+    half = 0.5 * n_pow
+    tail = n_pow * (n / (s - 1.0))
+    out = [half + tail]
+    if max_order >= 1:
+        u_tail = -log_n - 1.0 / (s - 1.0)
+        out.append(-log_n * half + tail * u_tail)
+    if max_order >= 2:
+        out.append(log_n * log_n * half
+                   + tail * (u_tail * u_tail + 1.0 / (s - 1.0) ** 2))
+    fact = 2.0
+    prod = s
+    recip = 1.0 / s
+    recip2 = recip * recip
+    scale = n_pow / n
+    for r in range(1, terms + 1):
+        t_r = (_B2K[r - 1] / fact) * prod * scale
+        u = recip - log_n
+        out[0] = out[0] + t_r
+        if max_order >= 1:
+            out[1] = out[1] + t_r * u
+        if max_order >= 2:
+            out[2] = out[2] + t_r * (u * u - recip2)
+        a = s + (2 * r - 1)
+        b = s + (2 * r)
+        prod = prod * a * b
+        recip = recip + 1.0 / a + 1.0 / b
+        recip2 = recip2 + 1.0 / (a * a) + 1.0 / (b * b)
+        fact *= (2 * r + 1) * (2 * r + 2)
+        scale = scale / (n * n)
+    m2 = 2 * terms
+    bound = (abs(_B2K[terms]) / fact) * np.abs(prod) * n ** (-s.real - m2 - 1) \
+        * np.abs(s + m2 + 1) / (s.real + m2 + 1)
+    return out, bound

@@ -52,6 +52,22 @@ class TestRunCampaign:
                             "dyadic_reconstruction", "large_value_histogram",
                             "continuous_moment"}
 
+    def test_one_continuous_grid_for_every_k(self, cache_file, monkeypatch):
+        calls = []
+        real = campaign.moments.continuous_moment
+
+        def continuous_moment(k, t_max, step):
+            calls.append(k)
+            return real(k, t_max, step)
+
+        monkeypatch.setattr(campaign.moments, "continuous_moment", continuous_moment)
+        config = CampaignConfig(t_max=1000.0, cache_path=cache_file)
+        outcomes = {o.audit_name: o for o in campaign.run_campaign(config)}
+        assert calls == [(1.0, 2.0)]
+        for k, val in zip((1.0, 2.0), real((1.0, 2.0), 1000.0, 0.01)):
+            assert outcomes[f"continuous_moment[k={k:g}]"].fitted_constant == \
+                val / math.log(1000.0) ** (k * k)
+
     def test_partial_fraction_reports_samples_used(self, cache_file, monkeypatch):
         config = CampaignConfig(t_max=1000.0, k_list=(), cache_path=cache_file)
         u, v = campaign._kronecker(config.seeds + 3, 20)[0]

@@ -72,6 +72,16 @@ class TestValidationErrors:
         code = main(["sweep", "--tmax", "50", "--cache", str(tmp_path / "x.csv")])
         assert code == EXIT_COMPUTATION
 
+    def test_refinement_shortfall_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "z.csv"
+        code = main(["sweep", "--tmax", "2000", "--refine-tol", "1e-12",
+                     "--cache", str(path)])
+        assert code == EXIT_COMPUTATION
+        err = capsys.readouterr().err
+        assert "RefinementShortfallError" in err
+        assert "above refine_tol = 1e-12" in err
+        assert not path.exists()
+
 
 class TestMomentsCommands:
     def test_moments_json(self, cli_cache, capsys):

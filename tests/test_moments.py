@@ -207,11 +207,18 @@ class TestContinuousMoment:
         b = continuous_moment(1.0, 1000.0, 0.005)
         assert abs(a - b) / b < 0.005
 
+    def test_tuple_of_k_matches_single_calls(self):
+        both = continuous_moment((1.0, 2.0), 300.0, 0.01)
+        assert both == (continuous_moment(1.0, 300.0, 0.01),
+                        continuous_moment(2.0, 300.0, 0.01))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             continuous_moment(1.0, 1000.0, 0.02)
         with pytest.raises(ValueError):
             continuous_moment(0.0, 1000.0, 0.01)
+        with pytest.raises(ValueError):
+            continuous_moment((1.0, -1.0), 1000.0, 0.01)
 
 
 class TestMajorantAudit:

@@ -49,6 +49,18 @@ class TestSweep:
         with pytest.raises(zeros.DomainError):
             zeros.sweep(100.0, refine_tol=1e-13)
 
+    def test_refinement_shortfall_raises(self):
+        # near t = 2000 three Newton steps on the EM route cannot reach 1e-12
+        # everywhere: 56 residuals stay above it, the largest 3.2e-12
+        with pytest.raises(zeros.RefinementShortfallError) as info:
+            zeros.sweep(2000.0, refine_tol=1e-12)
+        err = info.value
+        assert err.count >= 1
+        assert 1e-12 < err.worst < 1e-9
+        assert 1000.0 < err.gamma <= 2000.0
+        assert f"{err.count} residual(s)" in str(err)
+        assert f"{err.worst:.3e}" in str(err)
+
 
 class TestIllinoisRoots:
     def test_matches_brentq_on_public_hardy_z(self):

@@ -21,7 +21,7 @@ from zetamoments.zetafn import (
     zeta_prime,
 )
 
-from .oracles import bisect_zero, em_zeta_oracle, lanczos_log_gamma
+from .oracles import bisect_zero, em_boundary_loop, em_zeta_oracle, lanczos_log_gamma
 
 GAMMA_1 = 14.134725141734693
 
@@ -310,3 +310,64 @@ class TestInvariants:
             r = zeta_prime(s)
             truth, bound = em_zeta_oracle(s, derivative=1)
             assert abs(r.value - truth) <= r.abs_error_estimate + bound, s
+
+
+class TestMainSumKernel:
+    """k^{-it} from the primes, and the one-pass boundary terms."""
+
+    def test_prime_products_match_direct_exponential(self):
+        # each value is a product of up to 15 prime values, each off by the
+        # rounding of t log p; bound 4 eps (1 + t log k), measured 1.5
+        rng = np.random.default_rng(61)
+        ts = np.sort(np.exp(rng.uniform(math.log(10.0), math.log(1e5), 12)))
+        n = 64000
+        logk = np.log(np.arange(1, n + 1, dtype=np.float64))
+        phase = np.multiply.outer(logk, ts)
+        err = np.abs(zetafn._n_pow_it(ts, n) - np.exp(-1j * phase))
+        assert np.all(err <= 4.0 * np.finfo(float).eps * (1.0 + phase))
+
+    def test_rows_are_a_prefix(self, monkeypatch):
+        # from an empty plan: the first call builds it, the last grows it
+        monkeypatch.setattr(zetafn, "_PLAN_SIZE", 0)
+        monkeypatch.setattr(zetafn, "_PLAN", None)
+        ts = np.array([14.1, 1000.5, 9876.25, 54321.0])
+        small = {j: zetafn._n_pow_it(ts, j) for j in (1, 2, 17, 1000, 4096)}
+        full = zetafn._n_pow_it(ts, 7000)
+        assert zetafn._PLAN_SIZE >= 7000
+        for j, rows in small.items():
+            assert np.array_equal(full[:j], rows)
+        assert np.array_equal(full[:, 1:2], zetafn._n_pow_it(ts[1:2], 7000))
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2])
+    def test_boundary_matches_loop(self, max_order):
+        rng = np.random.default_rng(62 + max_order)
+        t = np.exp(rng.uniform(0.0, math.log(1e5), 64))
+        s = rng.uniform(0.25, 2.0, 64) + 1j * t
+        per_point = np.array([float(zetafn._em_bucket(x)) for x in t])
+        for n in (zetafn.em_truncation(float(t.max())), per_point):
+            terms, bound = zetafn._em_boundary(s, n, max_order)
+            ref, ref_bound = em_boundary_loop(s, n, max_order)
+            assert len(terms) == max_order + 1
+            for got, want in zip(terms, ref):
+                assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+            assert np.all(np.abs(bound - ref_bound) <= 1e-14 * ref_bound)
+
+    def test_high_heights_within_committed_error_of_mpmath(self):
+        # heights in [1e4, 1e5] take main sums up to 64,000 terms, whose
+        # composites carry up to 15 prime factors
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(63)
+        ts = np.sort(np.exp(rng.uniform(math.log(1e4), math.log(1e5), 6)))
+        z, dz = zetafn.em_z_with_deriv(ts)
+        err0, err1 = (zetafn.zeta_at_heights(ts, 0.0, order)[1] for order in (0, 1))
+        with mpmath.workdps(20):
+            for i, t in enumerate(ts):
+                s = mpmath.mpc(0.5, t)
+                for fn, order in ((zeta, 0), (zeta_prime, 1)):
+                    r = fn(complex(0.5, t))
+                    truth = complex(mpmath.zeta(s, derivative=order))
+                    assert abs(r.value - truth) <= r.abs_error_estimate, (t, order)
+                # Z and dZ/dt share zeta_at_heights' point and truncation
+                assert abs(z[i] - float(mpmath.siegelz(t))) <= err0[i], t
+                dz_bound = zetafn.theta_deriv(float(t)) * err0[i] + err1[i]
+                assert abs(dz[i] - float(mpmath.siegelz(t, derivative=1))) <= dz_bound, t
