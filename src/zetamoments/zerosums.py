@@ -17,9 +17,10 @@ from scipy.integrate import quad
 
 from .primes import shared_sieve
 from .zeros import ZeroCache
-from .zetafn import CONSTANTS, digamma
+from .zetafn import CONSTANTS, _n_pow_it, digamma
 
 TWO_PI = 2.0 * math.pi
+_ZERO_BLOCK = 512       # zeros per n^{-i gamma} block of the mean square
 
 # Constant term of the partial-fraction decomposition of zeta'/zeta: the
 # Hadamard-product value log(2 pi) - 1 - gamma_0/2.
@@ -137,7 +138,10 @@ def mean_square_over_zeros(cache: ZeroCache, coeffs, alpha: complex) -> MeanSqua
     ns = np.arange(1, xi + 1, dtype=np.float64)
     logn = np.log(ns)
     weights = a * np.exp(-(0.5 + alpha) * logn)     # a_n n^{-1/2 - alpha}
-    inner = np.exp(-1j * np.multiply.outer(gammas, logn)) @ weights
+    inner = np.empty(gammas.size, dtype=np.complex128)
+    for start in range(0, gammas.size, _ZERO_BLOCK):   # n^{-i gamma} from the primes
+        block = slice(start, start + _ZERO_BLOCK)
+        inner[block] = weights @ _n_pow_it(gammas[block], xi)
     lhs = float((inner.real ** 2 + inner.imag ** 2).sum())
     m_xi = max(1.0, float(np.abs(a).max()) if xi else 1.0)
     rhs = m_xi * t_max * math.log(t_max) * float((np.abs(a) / ns).sum())

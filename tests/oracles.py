@@ -2,8 +2,8 @@
 
 Everything here deliberately avoids the package's vectorized code paths:
 plain Python loops, cmath powers, and classical formulas, so a shared bug
-cannot hide.  The Euler-Maclaurin oracle runs at four times the package's
-truncation with extra correction terms and reports its own remainder bound.
+cannot hide.  The Euler-Maclaurin oracle runs a longer main sum than the
+package, with its own truncation rule, and reports its own remainder bound.
 """
 
 from __future__ import annotations
@@ -11,12 +11,15 @@ from __future__ import annotations
 import cmath
 import math
 
-# Bernoulli numbers B_2..B_36
+# Bernoulli numbers B_2..B_50
 _B2K = [
     1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510,
     43867 / 798, -174611 / 330, 854513 / 138, -236364091 / 2730, 8553103 / 6,
     -23749461029 / 870, 8615841276005 / 14322, -7709321041217 / 510,
-    2577687858367 / 6, -26315271553053477373 / 1919190,
+    2577687858367 / 6, -26315271553053477373 / 1919190, 2929993913841559 / 6,
+    -261082718496449122051 / 13530, 1520097643918070802691 / 1806,
+    -27833269579301024235023 / 690, 596451111593912163277961 / 282,
+    -5609403368997817686249127547 / 46410, 495057205241079648212477525 / 66,
 ]
 
 
@@ -24,7 +27,8 @@ def em_zeta_oracle(s: complex, mult: int = 4, corrections: int = 16,
                    derivative: int = 0):
     """(value, remainder_bound) for zeta^(derivative)(s), naive Euler-Maclaurin.
 
-    Truncation is mult times the package's choice max(20, ceil(2|t|/pi)).
+    Truncation is mult times max(20, ceil(2|t|/pi)), a length of this
+    oracle's own, longer than the package's at every height.
     """
     s = complex(s)
     n = mult * max(20, math.ceil(2.0 * abs(s.imag) / math.pi))

@@ -71,6 +71,16 @@ class TestMeanSquare:
         doubled = mean_square_over_zeros(cache1000, 2.0 * np.ones(30), 0.0).lhs
         assert doubled == 4.0 * base
 
+    def test_matches_dense_exponential_sum(self, cache1000):
+        # 649 zeros span two blocks of n^{-i gamma}
+        rng = np.random.default_rng(5)
+        a = rng.normal(size=100) + 1j * rng.normal(size=100)
+        alpha = complex(0.15, 0.3)
+        logn = np.log(np.arange(1, 101, dtype=np.float64))
+        dense = np.exp(-np.multiply.outer(0.5 + alpha + 1j * cache1000.gammas(), logn)) @ a
+        want = float((np.abs(dense) ** 2).sum())
+        assert abs(mean_square_over_zeros(cache1000, a, alpha).lhs - want) <= 1e-12 * want
+
     def test_preconditions(self, cache1000):
         with pytest.raises(PreconditionError):
             mean_square_over_zeros(cache1000, np.ones(10), complex(-0.1, 0.0))

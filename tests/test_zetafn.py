@@ -21,6 +21,7 @@ from zetamoments.zetafn import (
     zeta_prime,
 )
 
+from . import oracles
 from .oracles import bisect_zero, em_boundary_loop, em_zeta_oracle, lanczos_log_gamma
 
 GAMMA_1 = 14.134725141734693
@@ -346,11 +347,48 @@ class TestMainSumKernel:
         per_point = np.array([float(zetafn._em_bucket(x)) for x in t])
         for n in (zetafn.em_truncation(float(t.max())), per_point):
             terms, bound = zetafn._em_boundary(s, n, max_order)
-            ref, ref_bound = em_boundary_loop(s, n, max_order)
+            ref, ref_bound = em_boundary_loop(s, n, max_order, zetafn._EM_TERMS)
             assert len(terms) == max_order + 1
             for got, want in zip(terms, ref):
                 assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
-            assert np.all(np.abs(bound - ref_bound) <= 1e-14 * ref_bound)
+            # the loop's N^(-sigma-49) rounds by up to |sigma+49| log N ulps
+            # (3.7e-14 against mpmath; the scaled product stays within 4.2e-15)
+            tol = 8 * (2 * zetafn._EM_TERMS + 1) * np.finfo(float).eps
+            assert np.all(np.abs(bound - ref_bound) <= tol * ref_bound)
+
+    def test_bernoulli_table_matches_oracle(self):
+        assert len(zetafn._B2K) == zetafn._EM_TERMS + 1
+        assert [float(b) for b in zetafn._B2K] == oracles._B2K
+
+    def test_remainder_bound_is_small_against_rounding_allowance(self):
+        # the committed remainder after 24 corrections at em_truncation(t)
+        # stays within 1% of the main sum's allowance 2.5e-15 t log N
+        ts = np.exp(np.linspace(math.log(14.0), math.log(1e5), 4001))
+        ts = np.sort(np.r_[ts, np.pi * np.arange(5, 60) * (1.0 - 1e-12)])
+        n = np.array([zetafn.em_truncation(t) for t in ts], dtype=np.float64)
+        for sigma in np.linspace(0.25, 4.0, 16):
+            _, bound = zetafn._em_boundary(sigma + 1j * ts, n, 0)
+            assert np.all(bound <= 0.01 * 2.5e-15 * ts * np.log(n)), sigma
+
+    @pytest.mark.parametrize("max_order", [0, 1, 2])
+    def test_boundary_finite_at_extreme_heights(self, max_order):
+        ts = np.array([1e5, 2e6, 1e7])
+        n = np.array([zetafn.em_truncation(t) for t in ts], dtype=np.float64)
+        terms, bound = zetafn._em_boundary(0.5 + 1j * ts, n, max_order)
+        assert all(np.all(np.isfinite(x)) for x in terms)
+        assert np.all(np.isfinite(bound)) and np.all(bound > 0.0)
+
+    def test_buckets_follow_scalar_truncation(self):
+        # heights at and next to multiples of pi, where ceil(t/pi) steps
+        k = np.arange(1, 4000, dtype=np.float64)
+        ts = np.sort(np.r_[k * np.pi, np.nextafter(k * np.pi, 0.0),
+                           np.nextafter(k * np.pi, np.inf), 0.0, 9.5])
+        want = [(zetafn.em_truncation(t) + 511) // 512 * 512 for t in ts]
+        assert zetafn._em_bucket(ts).tolist() == want
+        runs = zetafn._bucket_runs(ts)
+        assert [i for sl, _ in runs for i in range(sl.start, sl.stop)] == list(range(ts.size))
+        for sl, n in runs:
+            assert sl.stop - sl.start <= 128 and set(want[sl]) == {n}
 
     def test_high_heights_within_committed_error_of_mpmath(self):
         # heights in [1e4, 1e5] take main sums up to 64,000 terms, whose
