@@ -35,8 +35,9 @@ from pathlib import Path
 import numpy as np
 
 from . import zetafn
-from .zetafn import DomainError, ZeroShiftEvaluator, hardy_z_grid, theta, theta_deriv
-from .zetafn import hardy_z  # noqa: F401 -- perfbench's tracer wraps zeros.hardy_z
+from .zetafn import DomainError, ZeroShiftEvaluator, hardy_z_grid, theta
+# perfbench's tracer wraps zeros.hardy_z and zeros.theta_deriv
+from .zetafn import hardy_z, theta_deriv  # noqa: F401
 
 _SCAN_STEP = 0.05
 _LADDER = (0.01, 2e-3, 5e-4, 1e-4)
@@ -148,38 +149,30 @@ def gram_point(n: int) -> float:
     """
     if n < 0:
         raise DomainError(f"gram_point supports n >= 0 (got {n})")
+    return float(_gram_points(np.array([n]))[0])
+
+
+def _gram_points(n: np.ndarray) -> np.ndarray:
+    """g_n for an array of n >= 0: Newton on theta for all of them at once."""
     target = n * math.pi
-    t = max(_SWEEP_START + 0.5, 7.5 * (n + 2) ** 0.9)
+    t = np.maximum(_SWEEP_START + 0.5, 7.5 * (n + 2.0) ** 0.9)
     for _ in range(64):
-        step = (theta(t) - target) / theta_deriv(t)
-        t_new = max(_SWEEP_START, t - step)
-        if abs(t_new - t) < 1e-12 * t:
-            t = t_new
-            break
+        step = (zetafn._theta_raw(t) - target) / zetafn._theta_deriv_raw(t)
+        t_new = np.maximum(_SWEEP_START, t - step)
+        done = np.all(np.abs(t_new - t) < 1e-12 * t)
         t = t_new
+        if done:
+            break
     return t
 
 
 def _gram_points_upto(t_max: float) -> np.ndarray:
     """Ascending Gram points g_0, g_1, ... with one point >= t_max."""
-    points = []
-    n = 0
-    g = gram_point(0)
-    while True:
-        points.append(g)
-        if g >= t_max:
-            break
-        n += 1
-        # Newton from the previous point; theta is monotone here
-        t = g + math.pi / theta_deriv(g)
-        target = n * math.pi
-        for _ in range(50):
-            step = (theta(t) - target) / theta_deriv(t)
-            t -= step
-            if abs(step) < 1e-12 * t:
-                break
-        g = t
-    return np.array(points)
+    # theta is increasing past t = 10, so g_n >= t_max from n = theta(t_max)/pi
+    # on; one spare n absorbs rounding at the boundary
+    last = max(0, math.ceil(theta(max(t_max, _SWEEP_START)) / math.pi)) + 1
+    grams = _gram_points(np.arange(last + 1))
+    return grams[: int(np.searchsorted(grams, t_max)) + 1]
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:

@@ -3,14 +3,21 @@
 Evaluation strategy:
 
 * ``zeta``/``zeta_prime`` use Euler-Maclaurin with truncation
-  ``N = max(30, ceil(|t|/pi))`` and 24 Bernoulli correction terms for
-  sigma >= 0.3 (and near the origin, where the reflected point would sit by
-  the pole); further left the functional equation
-  ``zeta(s) = chi(s) zeta(1-s)`` is applied.  The committed error estimate is
-  the classical Euler-Maclaurin remainder bound (first omitted correction
-  scaled by |s+2m+1|/(sigma+2m+1)) plus a floating-point noise allowance.
-* ``hardy_z`` rotates the Euler-Maclaurin value for t < 200 and switches to
-  the Riemann-Siegel main sum with four correction terms C0..C3 for t >= 200.
+  ``N = em_truncation(t)``, max(30, ceil(|t|/pi)) rounded up to m * 2^e with
+  16 <= m <= 31, and 24 Bernoulli correction terms for sigma >= 0.3 (and
+  near the origin, where the reflected point would sit by the pole); further
+  left the functional equation ``zeta(s) = chi(s) zeta(1-s)`` is applied.
+  The committed error estimate is the classical Euler-Maclaurin remainder
+  bound (first omitted correction scaled by |s+2m+1|/(sigma+2m+1)) plus a
+  floating-point noise allowance.
+* The batched routes (``zeta_at_heights``, ``ZeroShiftEvaluator``,
+  ``em_z_with_deriv``, ``hardy_z_grid``) take the same truncation per height,
+  in runs of heights that share it, so a batched value equals the scalar one
+  bit for bit and does not depend on the other heights in the batch.
+* ``hardy_z`` is ``hardy_z_grid`` at one point.  Below t = 200 the grid
+  rotates the Euler-Maclaurin value of zeta (one routine, ``_em_z``, which
+  also gives the polish its dZ/dt); from t = 200 up it takes the
+  Riemann-Siegel main sum with four correction terms C0..C3.
   The correction functions are built from an exact power series for
   psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), an entire function, so
   its high-order derivatives are evaluated stably.
@@ -210,43 +217,52 @@ def _n_pow_it(ts: np.ndarray, n: int) -> np.ndarray:
         stop = np.searchsorted(comp, n)
         if stop == 0:
             break
-        product = e[spf[:stop]]
-        product *= e[cof[:stop]]
-        e[comp[:stop]] = product
+        # not in place: numpy rounds an in-place product of one element
+        # differently, and a value must not depend on len(ts)
+        e[comp[:stop]] = e[spf[:stop]] * e[cof[:stop]]
     return e
 
 
-def em_truncation(t: float) -> int:
-    """Euler-Maclaurin main-sum length for height t.
+def em_truncation(t):
+    """Euler-Maclaurin main-sum length for height t (a float or an array).
 
     With N >= |t|/pi, |s|/(2 pi N) <= 1/2 and each Bernoulli correction is
     about a quarter of the one before, so 24 of them leave a remainder bound
     below 1% of the main sum's rounding allowance 2.5e-15 t log N.  At low
     heights the factors s + j, j <= 48, outgrow |s|; the floor of 30 terms
     keeps that 1% there (a floor of 20 reaches 6% just below t = 20 pi).
+
+    max(30, ceil(|t|/pi)) is rounded up to m * 2^e with 16 <= m <= 31: exact
+    below 32 terms, less than 1/16 in excess above, and few enough distinct
+    lengths that a batch of nearby heights shares one.
+
+    A scalar takes Python arithmetic: numpy's per-call overhead on scalars,
+    about 18 us in perfbench's pointwise-1e5 mix on a 2-vCPU x86-64 host, is
+    a tenth of a low-height zeta call.  Both branches round the same float
+    ceil(|t|/pi) exactly, so a height's N is the same either way.
     """
-    return max(_EM_MIN_LENGTH, math.ceil(abs(t) / math.pi))
+    if not isinstance(t, np.ndarray):
+        n = max(_EM_MIN_LENGTH, math.ceil(abs(t) / math.pi))
+        step = 1 << max(n.bit_length() - 5, 0)
+        return -(-n // step) * step
+    # n = mant * 2^exp with 1/2 <= mant < 1, so exp is n's bit length
+    mant, exp = np.frexp(np.maximum(np.ceil(np.abs(t) / math.pi), _EM_MIN_LENGTH))
+    return np.ldexp(np.ceil(32.0 * mant), exp - 5).astype(np.int64)
 
 
-def _em_bucket(ts: np.ndarray) -> np.ndarray:
-    """em_truncation of each height, rounded up to a multiple of 512.
-
-    Batched evaluations share one truncation per chunk; rounding makes that
-    truncation a function of the point alone, so values do not depend on how
-    a height array happens to be chunked.  The float expression is
-    em_truncation's, so each bucket is the scalar route's bit for bit.
-    """
-    n = np.maximum(_EM_MIN_LENGTH, np.ceil(np.abs(ts) / math.pi).astype(np.int64))
-    return (n + 511) // 512 * 512
+def _runs(keys: np.ndarray):
+    """(start, stop) of each run of equal consecutive keys."""
+    if keys.size == 0:
+        return []
+    starts = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist()]
+    return zip(starts, starts[1:] + [keys.size])
 
 
 def _bucket_runs(ts: np.ndarray):
-    """Consecutive index runs of equal truncation bucket, each at most 128 long."""
-    buckets = _em_bucket(ts)
-    cuts = np.flatnonzero(np.diff(buckets)) + 1
-    bounds = zip(np.r_[0, cuts], np.r_[cuts, ts.size])
-    return [(slice(i, min(i + 128, stop)), int(buckets[start]))
-            for start, stop in bounds for i in range(start, stop, 128)]
+    """Consecutive index runs of equal truncation, each at most 128 long."""
+    lengths = em_truncation(ts)
+    return [(slice(i, min(i + 128, stop)), int(lengths[start]))
+            for start, stop in _runs(lengths) for i in range(start, stop, 128)]
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +324,30 @@ def _em_boundary(s: np.ndarray, n, max_order: int):
     factors[1:] = (s + _EM_ODD) * (s + (_EM_ODD + 1.0)) / (n * n)
     prod = np.cumprod(factors, axis=0)                  # P_0, P_2, ..., P_2m
     corr = _EM_COEFF[:, None] * prod[:-1] * n_pow
-    terms = [half + tail + corr.sum(axis=0)]
+    terms = [half + tail + _sum_rows(corr)]
     if max_order >= 1:
         rows = slice(0, 2 * _EM_TERMS, 2)
         inv = 1.0 / (s + _EM_SHIFTS)
         u = np.cumsum(inv, axis=0)[rows] - log_n        # sum_j 1/(s+j) - log N
         u_tail = -log_n - 1.0 / (s - 1.0)
-        terms.append(-log_n * half + tail * u_tail + (corr * u).sum(axis=0))
+        terms.append(-log_n * half + tail * u_tail + _sum_rows(corr * u))
     if max_order >= 2:
         recip2 = np.cumsum(inv * inv, axis=0)[rows]      # sum_j 1/(s+j)^2
         du_tail = 1.0 / (s - 1.0) ** 2
         terms.append(log_n * log_n * half + tail * (u_tail * u_tail + du_tail)
-                     + (corr * (u * u - recip2)).sum(axis=0))
+                     + _sum_rows(corr * (u * u - recip2)))
 
     m2 = 2 * _EM_TERMS
     sigma = s.real
     bound = _EM_NEXT_COEFF * np.abs(prod[-1]) * n ** -sigma
     bound *= np.abs(s + (m2 + 1)) / (sigma + m2 + 1)
     return terms, bound
+
+
+def _sum_rows(x: np.ndarray) -> np.ndarray:
+    """x.sum(axis=0) for a complex array, row after row at every width: one
+    column alone would be summed pairwise, in another order."""
+    return x.view(np.float64).sum(axis=0).view(np.complex128)
 
 
 def _check_domain(s: complex) -> None:
@@ -408,8 +430,8 @@ def zeta_at_heights(gammas: np.ndarray, alpha: complex = 0.0,
 
     The direct route for shifts beyond ZeroShiftEvaluator's radius, and the
     reference that tests hold the table to: one Euler-Maclaurin pass per
-    run of at most 128 heights that share a truncation bucket, so a value
-    does not depend on which other heights come with it.
+    run of at most 128 heights that share a truncation, so a value does not
+    depend on which other heights come with it and equals zeta_deriv's.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     sigma = 0.5 + complex(alpha).real
@@ -439,10 +461,10 @@ class ZeroShiftEvaluator:
 
     Row i holds the order-24 Taylor coefficients about alpha = 0 of the
     Euler-Maclaurin value of zeta(1/2 + i*gamma_i + alpha), at the truncation
-    bucket of gamma_i + 1:
+    em_truncation(gamma_i + 1):
 
-    * main sum: sum_n n^{-rho} (-log n)^j / j!, taken per bucket chunk as
-      one real product of V^T, V[n, j] = n^{-1/2} (-log n)^j / j!, with the
+    * main sum: sum_n n^{-rho} (-log n)^j / j!, taken per _bucket_runs run
+      as one real product of V^T, V[n, j] = n^{-1/2} (-log n)^j / j!, with the
       real and imaginary parts of n^{-i gamma} from _n_pow_it;
     * boundary terms (N^{-s}/2, the pole tail, the Bernoulli corrections):
       the discrete Fourier transform of 32 samples on |alpha| = 2 * radius.
@@ -522,7 +544,7 @@ def theta(t: float) -> float:
 
 
 def theta_deriv(t: float) -> float:
-    """d theta / dt (used for Newton polish and Gram-point solving)."""
+    """d theta / dt, t >= 10."""
     if t < 10.0:
         raise DomainError(f"theta requires t >= 10 (got {t})")
     return float(_theta_deriv_raw(float(t)))
@@ -597,7 +619,8 @@ def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     amp = 1.0 / np.sqrt(np.arange(1, n + 1))
     th = _theta_raw(ts)
     phases = th[:, None] - np.multiply.outer(ts, logn)
-    main = 2.0 * (np.cos(phases) @ amp)
+    # einsum, not a BLAS product: a value must not depend on len(ts)
+    main = 2.0 * np.einsum("ik,k->i", np.cos(phases), amp)
     eta = 1.0 / tau
     corr = ((-1.0) ** (n - 1)) * np.sqrt(eta) * _rs_correction(p, eta)
     amp_sum = float(amp.sum())
@@ -609,15 +632,33 @@ def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return main + corr, err
 
 
-def _rs_segments(ts: np.ndarray):
-    """Split an ascending height array into runs of constant floor(sqrt(t/2pi))."""
-    n = np.floor(np.sqrt(ts / TWO_PI)).astype(np.int64)
-    cuts = np.flatnonzero(np.diff(n)) + 1
-    return np.split(np.arange(ts.size), cuts)
+def _em_z(ts: np.ndarray, max_order: int):
+    """Z on the Euler-Maclaurin route, its committed error, and (for
+    max_order 1, else None) dZ/dt, one pass per _bucket_runs run.
+
+    |Z| is |zeta(1/2+it)| exactly: only the sign comes from the rotation
+    e^{i theta} zeta, whose imaginary residue is folded into the error.
+    """
+    z = np.empty(ts.size)
+    err = np.empty(ts.size)
+    dz = np.empty(ts.size) if max_order else None
+    for sl, n in _bucket_runs(ts):
+        block = ts[sl]
+        vals, e0 = _zeta_em_batch(0.5, block, n, max_order)
+        rot = np.exp(1j * _theta_raw(block))
+        rotated = rot * vals[0]
+        modulus = np.abs(vals[0])
+        z[sl] = np.where(rotated.real >= 0.0, 1.0, -1.0) * modulus
+        err[sl] = e0 + np.abs(rotated.imag) + 1e-10 * modulus
+        if max_order:
+            dz[sl] = -np.imag(rot * (_theta_deriv_raw(block) * vals[0] + vals[1]))
+    return z, err, dz
 
 
 def hardy_z_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Z(t) on an ascending grid: Riemann-Siegel above the cutover, EM below."""
+    """Z(t) and its committed error on an ascending grid: Riemann-Siegel
+    from the cutover up, Euler-Maclaurin below.  A height's value depends on
+    that height alone, not on the rest of the grid."""
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and ts[0] < 10.0:
         raise DomainError("hardy_z requires t >= 10")
@@ -626,71 +667,32 @@ def hardy_z_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("hardy_z_grid needs ascending heights")
     out = np.empty(ts.size)
     err = np.empty(ts.size)
-    lo_mask = ts < _RS_CUTOVER
-    n_lo = int(lo_mask.sum())
+    n_lo = int(np.searchsorted(ts, _RS_CUTOVER))
     if n_lo:
-        block = ts[:n_lo]
-        for start in range(0, n_lo, 256):
-            stop = min(start + 256, n_lo)
-            sub = block[start:stop]
-            vals, e0 = _zeta_em_batch(0.5, sub, em_truncation(float(sub[-1])), 0)
-            rot = np.exp(1j * _theta_raw(sub)) * vals[0]
-            sign = np.where(rot.real >= 0.0, 1.0, -1.0)
-            out[start:stop] = sign * np.abs(vals[0])
-            err[start:stop] = e0 + np.abs(rot.imag)
-    if n_lo < ts.size:
-        hi = np.arange(n_lo, ts.size)
-        for seg in _rs_segments(ts[hi]):
-            idx = hi[seg]
-            out[idx], err[idx] = _rs_z_batch(ts[idx])
+        out[:n_lo], err[:n_lo], _ = _em_z(ts[:n_lo], 0)
+    # Riemann-Siegel in runs of one main-sum length floor(sqrt(t/2pi))
+    for start, stop in _runs(np.floor(np.sqrt(ts[n_lo:] / TWO_PI))):
+        sl = slice(n_lo + start, n_lo + stop)
+        out[sl], err[sl] = _rs_z_batch(ts[sl])
     return out, err
 
 
-def hardy_z(t: float, method: str = "auto") -> EvalResult:
-    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it), real-valued, t >= 10.
-
-    The returned value satisfies |Z(t)| == |zeta(1/2+it)| exactly on the
-    Euler-Maclaurin route (the modulus is taken from the same zeta value and
-    only the sign comes from the rotation); the rotation's imaginary residue
-    is folded into the error estimate.
-    """
+def hardy_z(t: float) -> EvalResult:
+    """Hardy Z(t) = e^{i theta(t)} zeta(1/2 + it), real-valued, t >= 10:
+    hardy_z_grid at one point, tagged with the route it took."""
     t = float(t)
-    if t < 10.0:
-        raise DomainError(f"hardy_z requires t >= 10 (got {t})")
-    use_rs = method == RIEMANN_SIEGEL or (method == "auto" and t >= _RS_CUTOVER)
-    if method not in ("auto", RIEMANN_SIEGEL, EULER_MACLAURIN):
-        raise DomainError(f"unknown method {method!r}")
-    if use_rs:
-        if t < 2.0 * TWO_PI:
-            raise DomainError("Riemann-Siegel route needs t >= 4*pi")
-        vals, errs = _rs_z_batch(np.array([t]))
-        return EvalResult(complex(vals[0]), float(errs[0]), RIEMANN_SIEGEL)
-    z = zeta(complex(0.5, t))
-    rot = cmath.exp(1j * theta(t)) * z.value
-    sign = 1.0 if rot.real >= 0.0 else -1.0
-    value = sign * abs(z.value)
-    err = z.abs_error_estimate + abs(rot.imag) + 1e-10 * abs(z.value)
-    return EvalResult(complex(value), err, EULER_MACLAURIN)
+    if not (10.0 <= t < math.inf):
+        raise DomainError(f"hardy_z requires finite t >= 10 (got {t})")
+    vals, errs = hardy_z_grid(np.array([t]))
+    tag = RIEMANN_SIEGEL if t >= _RS_CUTOVER else EULER_MACLAURIN
+    return EvalResult(complex(vals[0]), float(errs[0]), tag)
 
 
 def em_z_with_deriv(ts: np.ndarray):
-    """(Z, dZ/dt) on the Euler-Maclaurin route for an array of heights.
-
-    Z carries the |Z| == |zeta(1/2+it)| convention of hardy_z; used by the
-    sweep's batched Newton polish.
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    z_out = np.empty(ts.size)
-    dz_out = np.empty(ts.size)
-    for sl, n in _bucket_runs(ts):
-        block = ts[sl]
-        vals, _ = _zeta_em_batch(0.5, block, n, 1)
-        rot = np.exp(1j * _theta_raw(block))
-        rotated = rot * vals[0]
-        sign = np.where(rotated.real >= 0.0, 1.0, -1.0)
-        z_out[sl] = sign * np.abs(vals[0])
-        dz_out[sl] = -np.imag(rot * (_theta_deriv_raw(block) * vals[0] + vals[1]))
-    return z_out, dz_out
+    """(Z, dZ/dt) on the Euler-Maclaurin route for an array of heights;
+    used by the sweep's batched Newton polish."""
+    z, _, dz = _em_z(np.asarray(ts, dtype=np.float64), 1)
+    return z, dz
 
 
 # ---------------------------------------------------------------------------

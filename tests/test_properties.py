@@ -13,9 +13,11 @@ from hypothesis import strategies as st
 from zetamoments import moments, zeros
 from zetamoments.zetafn import (
     DomainError,
+    hardy_z,
     hardy_z_grid,
     zeta,
     zeta_at_heights,
+    zeta_deriv,
     zeta_prime,
 )
 
@@ -48,6 +50,44 @@ def test_zeta_at_heights_does_not_depend_on_chunking(ts, alpha, data):
     cut = data.draw(st.integers(1, ts.size - 1))
     whole = zeta_at_heights(ts, alpha, 1)
     halves = [zeta_at_heights(part, alpha, 1) for part in (ts[:cut], ts[cut:])]
+    for j in range(2):
+        assert np.array_equal(whole[j], np.concatenate([h[j] for h in halves]))
+
+
+@PROPERTY
+@given(ts=st.lists(st.floats(0.0, 2e4), min_size=1, max_size=40),
+       alpha=st.complex_numbers(max_magnitude=0.7), order=st.integers(0, 2))
+def test_scalar_zeta_equals_batched(ts, alpha, order):
+    # one truncation rule: the scalar route is the batched one at one point
+    ts = np.sort(np.array(ts))
+    sigma = 0.5 + alpha.real
+    assume(sigma >= 0.3 and ts[0] + alpha.imag >= 0.0)
+    assume(np.all(np.abs(complex(sigma - 1.0, alpha.imag) + 1j * ts) > 1e-6))
+    values, errs = zeta_at_heights(ts, alpha, order)
+    for t, value, err in zip(ts + alpha.imag, values, errs):
+        r = zeta_deriv(complex(sigma, t), order)
+        assert (r.value, r.abs_error_estimate) == (value, err)
+
+
+@PROPERTY
+@given(t=st.floats(10.0, 1e5))
+def test_hardy_z_is_the_grid_at_one_point(t):
+    r = hardy_z(t)
+    z, err = hardy_z_grid(np.array([t]))
+    assert (r.value, r.abs_error_estimate) == (z[0], err[0])
+
+
+@PROPERTY
+@given(ts=st.integers(2, 400).flatmap(
+           lambda n: st.lists(st.floats(10.0, 400.0), min_size=n, max_size=n)),
+       data=st.data())
+def test_hardy_z_grid_does_not_depend_on_chunking(ts, data):
+    # both routes, several truncations below the cutover, and runs longer
+    # than the 128 heights of one pass
+    ts = np.sort(np.array(ts))
+    cut = data.draw(st.integers(1, ts.size - 1))
+    whole = hardy_z_grid(ts)
+    halves = [hardy_z_grid(part) for part in (ts[:cut], ts[cut:])]
     for j in range(2):
         assert np.array_equal(whole[j], np.concatenate([h[j] for h in halves]))
 

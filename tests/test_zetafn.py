@@ -159,19 +159,40 @@ class TestHardyZ:
         assert hardy_z(14.0).value.real * hardy_z(14.2).value.real < 0.0
 
     def test_riemann_siegel_matches_euler_maclaurin(self):
+        # above the cutover hardy_z takes Riemann-Siegel; the EM Z route is
+        # the one below it and in the polish
         t = 1000.0
-        rs = hardy_z(t, method=zetafn.RIEMANN_SIEGEL)
-        em = hardy_z(t, method=zetafn.EULER_MACLAURIN)
-        assert abs(rs.value - em.value) <= 1e-6
+        rs = hardy_z(t)
+        em, _, _ = zetafn._em_z(np.array([t]), 0)
+        assert rs.method_tag == zetafn.RIEMANN_SIEGEL
+        assert abs(rs.value - em[0]) <= 1e-6
 
     def test_route_cross_check_random(self):
         rng = np.random.default_rng(17)
-        for _ in range(120):
-            t = float(rng.uniform(200.0, 9000.0))
-            rs = hardy_z(t, method=zetafn.RIEMANN_SIEGEL)
-            em = hardy_z(t, method=zetafn.EULER_MACLAURIN)
-            assert abs(rs.value - em.value) <= \
-                rs.abs_error_estimate + em.abs_error_estimate
+        ts = rng.uniform(200.0, 9000.0, 120)
+        em, em_err, _ = zetafn._em_z(ts, 0)
+        for t, z, err in zip(ts, em, em_err):
+            rs = hardy_z(float(t))
+            assert abs(rs.value - z) <= rs.abs_error_estimate + err
+
+    @pytest.mark.parametrize("lo, hi", [(10.0, 200.0), (200.0, 1e5)])
+    def test_within_committed_error_of_mpmath(self, lo, hi):
+        # both routes: Euler-Maclaurin below the cutover, Riemann-Siegel above
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(18)
+        ts = np.exp(rng.uniform(math.log(lo), math.log(hi), 12))
+        with mpmath.workdps(20):
+            for t in ts:
+                r = hardy_z(float(t))
+                assert r.method_tag == (zetafn.EULER_MACLAURIN if t < 200.0
+                                        else zetafn.RIEMANN_SIEGEL)
+                truth = float(mpmath.siegelz(float(t)))
+                assert abs(r.value - truth) <= r.abs_error_estimate, t
+
+    def test_domain(self):
+        for t in (9.99, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                hardy_z(t)
 
     def test_grid_rejects_non_ascending_heights(self):
         # the EM/RS split reads the grid as sorted; unsorted input used to
@@ -181,9 +202,10 @@ class TestHardyZ:
 
     def test_grid_matches_scalar_route(self):
         ts = np.array([100.0, 150.0, 250.0, 300.0])
-        grid, _ = zetafn.hardy_z_grid(ts)
-        for t, z in zip(ts, grid):
-            assert abs(z - hardy_z(float(t)).value.real) <= 1e-9
+        grid, err = zetafn.hardy_z_grid(ts)
+        for t, z, e in zip(ts, grid, err):
+            r = hardy_z(float(t))
+            assert (r.value, r.abs_error_estimate) == (z, e)
 
     def test_correction_series_degree_drops_nothing(self, monkeypatch):
         # C0..C3 at the shipped Horner degree against the same series carried
@@ -344,7 +366,7 @@ class TestMainSumKernel:
         rng = np.random.default_rng(62 + max_order)
         t = np.exp(rng.uniform(0.0, math.log(1e5), 64))
         s = rng.uniform(0.25, 2.0, 64) + 1j * t
-        per_point = np.array([float(zetafn._em_bucket(x)) for x in t])
+        per_point = zetafn.em_truncation(t).astype(np.float64)
         for n in (zetafn.em_truncation(float(t.max())), per_point):
             terms, bound = zetafn._em_boundary(s, n, max_order)
             ref, ref_bound = em_boundary_loop(s, n, max_order, zetafn._EM_TERMS)
@@ -380,19 +402,23 @@ class TestMainSumKernel:
 
     def test_buckets_follow_scalar_truncation(self):
         # heights at and next to multiples of pi, where ceil(t/pi) steps
-        k = np.arange(1, 4000, dtype=np.float64)
+        k = np.r_[np.arange(1, 4000), np.arange(4000, 32000, 97)].astype(np.float64)
         ts = np.sort(np.r_[k * np.pi, np.nextafter(k * np.pi, 0.0),
                            np.nextafter(k * np.pi, np.inf), 0.0, 9.5])
-        want = [(zetafn.em_truncation(t) + 511) // 512 * 512 for t in ts]
-        assert zetafn._em_bucket(ts).tolist() == want
+        n = zetafn.em_truncation(ts)
+        assert n.tolist() == [zetafn.em_truncation(float(t)) for t in ts]
+        exact = np.maximum(30, np.ceil(ts / np.pi))
+        assert np.all(n >= exact) and np.all(16 * n < 17 * exact)
+        assert np.array_equal(n[exact < 32], exact[exact < 32])
+        assert np.all(np.diff(n) >= 0)
         runs = zetafn._bucket_runs(ts)
         assert [i for sl, _ in runs for i in range(sl.start, sl.stop)] == list(range(ts.size))
-        for sl, n in runs:
-            assert sl.stop - sl.start <= 128 and set(want[sl]) == {n}
+        for sl, m in runs:
+            assert sl.stop - sl.start <= 128 and set(n[sl].tolist()) == {m}
 
     def test_high_heights_within_committed_error_of_mpmath(self):
-        # heights in [1e4, 1e5] take main sums up to 64,000 terms, whose
-        # composites carry up to 15 prime factors
+        # heights in [1e4, 1e5] take main sums up to 32,768 terms, whose
+        # composites carry up to 14 prime factors
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(63)
         ts = np.sort(np.exp(rng.uniform(math.log(1e4), math.log(1e5), 6)))
