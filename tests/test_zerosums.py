@@ -12,7 +12,7 @@ from zetamoments.zerosums import (
     log_deriv_reconstruction,
     mean_square_over_zeros,
 )
-from zetamoments.zetafn import log_deriv
+from zetamoments.zetafn import CONSTANTS, log_deriv
 
 GAMMA_1 = 14.134725141734693
 
@@ -146,3 +146,46 @@ class TestPartialFractionReconstruction:
         for s in (complex(0.5, 300.0), complex(0.8, 300.0), complex(2.0, 500.0)):
             rec = log_deriv_reconstruction(cache1000, s, window=50.0)
             assert abs(rec - log_deriv(s).value) <= 0.5
+
+
+def _mpmath_tail(mpmath, s: complex, window: float, with_rho: bool) -> complex:
+    """The integrals of ``zerosums._density_tail``, by mpmath.quad at the
+    working precision, with breakpoints spaced geometrically away from the pole."""
+    s_mp, t = mpmath.mpc(s.real, s.imag), abs(s.imag)
+
+    def term(rho):
+        return 1 / (s_mp - rho) + (1 / rho if with_rho else 0)
+
+    def density(u):
+        return mpmath.log(u / (2 * mpmath.pi)) / (2 * mpmath.pi)
+
+    lo = t + window
+    half = [lo + window * (8 ** k - 1) for k in range(6)] + [mpmath.inf]
+    out = mpmath.quad(lambda u: (term(mpmath.mpc(0.5, u)) + term(mpmath.mpc(0.5, -u)))
+                      * density(u), half)
+    if t - window > 14.0:
+        cuts = [t - window - window * (8 ** k - 1) for k in range(6)]
+        out += mpmath.quad(lambda u: term(mpmath.mpc(0.5, u)) * density(u),
+                           [14.0] + sorted(c for c in cuts if c > 14.0))
+    return complex(out)
+
+
+class TestDensityTail:
+    @pytest.mark.filterwarnings("error")
+    def test_within_1e12_of_mpmath(self):
+        # the f identity's sigma - 1/2 = lambda0/log x [1/2, 1] without 1/rho,
+        # the partial fraction's sigma in [1/2, 2] with it; no zero cache needed
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(11)
+        with mpmath.workdps(30):
+            for height in (1e3, 1e4, 3e4, 1e5):
+                t = (height - 50.0) * rng.uniform(0.5, 1.0)
+                x = math.log(t + 3.0) ** 2
+                sig_f = 0.5 + CONSTANTS.lambda0 / math.log(x) * rng.uniform(0.5, 1.0)
+                for sig, with_rho in ((sig_f, False), (rng.uniform(0.5, 2.0), True),
+                                      (0.5, True)):
+                    s = complex(sig, t)
+                    got = zerosums._density_tail(s, 50.0, with_rho)
+                    want = _mpmath_tail(mpmath, s, 50.0, with_rho)
+                    assert abs(got - want) <= 1e-12 * abs(want), (s, with_rho)
+                    assert abs(got.real - want.real) <= 1e-12 * abs(want.real), (s, with_rho)
