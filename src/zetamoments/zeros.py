@@ -1,19 +1,18 @@
-"""Critical-line zero localization, count audit, and the zero-cache file format.
+"""Critical-line zero localization, count verification, and the zero-cache format.
 
-The sweep scans Hardy's Z on a grid of step <= 0.05 inside every Gram block,
-brackets sign changes, refines all brackets together by false position (the
-Illinois rule) on the batched Z evaluator, then polishes with Newton steps
-on the Euler-Maclaurin route so the recorded residual |Z(gamma)| comes from
-the accurate evaluator.  Runs of blocks whose sign-change counts do not
-reconcile with the theta-based expectation of one zero per block are
-rescanned on successively finer grids down to step 1e-4 (reconciled runs are
-ordinary Gram-law exceptions and are kept as found), and the cumulative
-count is audited against theta(T)/pi + 1.
+The sweep samples Hardy's Z at step <= 0.05 over every Gram interval, one
+grid per 256 intervals, and brackets its sign changes.  The same samples
+mark the good Gram points, which bound the Rosser blocks; a block short of
+sign changes is searched on finer grids down to step 1e-4.  The scan runs
+on through the Turing tail past t_max, which proves the count (see
+_counted_brackets).  The brackets below t_max are refined together by false
+position (the Illinois rule) on the batched Z evaluator, then polished with
+Newton steps on the Euler-Maclaurin route so the recorded residual
+|Z(gamma)| comes from the accurate evaluator.
 
-Zero-order detection is by sign change, so only odd-order zeros are found;
-all zeros in the supported range are empirically simple and the cache
-asserts simplicity.  A hypothetical even-order zero would be invisible to
-this sweep and would surface as an unresolved count deficit.
+Zeros are found by sign change, so only zeros of odd order on the line show;
+the Turing count proves that every zero up to g_n is one of them.  An
+even-order or off-line zero would leave its Rosser block short and raise.
 
 Cache file format (UTF-8 text)::
 
@@ -41,6 +40,7 @@ from .zetafn import hardy_z, theta_deriv  # noqa: F401
 
 _SCAN_STEP = 0.05
 _LADDER = (0.01, 2e-3, 5e-4, 1e-4)
+_WINDOW = 256          # Gram intervals per scan grid
 _SWEEP_START = 10.0     # theta domain floor; first zero is above 14
 _ROOT_XTOL = 1e-12      # a bracket is refined below xtol + rtol*|t|: the
 _ROOT_RTOL = 8.9e-16    # stopping rule and defaults of SciPy's Brent solver
@@ -63,13 +63,14 @@ class CacheInvariantError(ValueError):
 
 
 class UnresolvedBlockError(RuntimeError):
-    """A Gram range still disagrees with the theta count after subdivision."""
+    """A Rosser block (t_lo, t_hi), below t_max or in the Turing tail, whose
+    k Gram intervals hold k - deficit sign changes after the search."""
 
-    def __init__(self, t_lo: float, t_hi: float, deficit: float):
+    def __init__(self, t_lo: float, t_hi: float, deficit: int):
         self.t_lo, self.t_hi, self.deficit = t_lo, t_hi, deficit
         super().__init__(
-            f"count deviates by {deficit:+.2f} on ({t_lo:.6f}, {t_hi:.6f}) "
-            "after subdivision to step 1e-4")
+            f"Rosser block ({t_lo:.6f}, {t_hi:.6f}) is short of {deficit} sign "
+            "change(s) after search to step 1e-4")
 
 
 class RefinementShortfallError(RuntimeError):
@@ -110,7 +111,14 @@ class ZeroCache:
         return len(self.records)
 
     def gammas(self) -> np.ndarray:
-        return np.array([r.gamma for r in self.records], dtype=np.float64)
+        """The ordinates as one read-only array, built once per instance."""
+        return self._gammas
+
+    @cached_property
+    def _gammas(self) -> np.ndarray:
+        gammas = np.array([r.gamma for r in self.records], dtype=np.float64)
+        gammas.flags.writeable = False
+        return gammas
 
     @cached_property
     def shift_table(self) -> ZeroShiftEvaluator:
@@ -137,7 +145,7 @@ class ZeroCache:
         if any(not (14.0 < g <= self.t_max) for g in gammas):
             raise CacheInvariantError("ordinate outside (14, t_max]")
         bound = max(self.meta.refine_tol, _RESIDUAL_FLOOR)
-        if any(r.residual < 0 or r.residual > bound for r in self.records):
+        if not all(0 <= r.residual <= bound for r in self.records):
             raise CacheInvariantError(f"residual outside [0, {bound:g}]")
 
 
@@ -175,76 +183,85 @@ def _gram_points_upto(t_max: float) -> np.ndarray:
     return grams[: int(np.searchsorted(grams, t_max)) + 1]
 
 
-def _grid(lo: float, hi: float, step: float) -> np.ndarray:
-    n = max(2, int(math.ceil((hi - lo) / step)) + 1)
-    return np.linspace(lo, hi, n)
+def _scan(edges: np.ndarray, step: float = _SCAN_STEP
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Z at edges[1:], the sign-change brackets, and each bracket's interval.
 
-
-def _brackets(ts: np.ndarray, zs: np.ndarray) -> list[tuple[float, float]]:
-    sign = np.sign(zs)
-    flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
-    return [(float(ts[i]), float(ts[i + 1])) for i in flips]
-
-
-def _ladder_rescan(lo: float, hi: float,
-                   best: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Rescan one deviant Gram block on finer grids down to step 1e-4."""
-    for step in _LADDER:
-        ts = _grid(lo, hi, step)
-        zs, _ = hardy_z_grid(ts)
-        finer = _brackets(ts, zs)
-        if len(finer) > len(best):
-            best = finer
-        if len(best) == 1:
-            break
-    return best
-
-
-def _scan_window(edges: np.ndarray, w0: int, w1: int) -> list[list[tuple[float, float]]]:
-    grids = [_grid(float(edges[i]), float(edges[i + 1]), _SCAN_STEP)
-             for i in range(w0, w1)]
-    ts = np.concatenate(grids)
-    zs, _ = hardy_z_grid(ts)
-    out = []
-    pos = 0
-    for grid in grids:
-        out.append(_brackets(grid, zs[pos:pos + grid.size]))
-        pos += grid.size
-    return out
-
-
-def _scan_blocks(edges: np.ndarray, window: int = 256,
-                 thorough: bool = False) -> list[tuple[float, float]]:
-    """Sign-change brackets over all Gram blocks, evaluated in batched windows.
-
-    Blocks whose count differs from the theta-based expectation of one zero
-    come in runs (Gram-law exceptions: a two-zero block flanked by an empty
-    one).  A run whose counts already sum to its length needs no repair;
-    anything else is rescanned on finer grids, since it may hide a close
-    pair below the grid resolution.  With thorough=True every deviant block
-    is rescanned regardless (fallback when the global count audit fails).
+    Each window of _WINDOW intervals is one grid: interval i holds the points
+    of np.linspace(edges[i], edges[i + 1]) at spacing <= step, its ends
+    shared with its neighbours.
     """
-    n_blocks = edges.size - 1
-    per_block: list[list[tuple[float, float]]] = []
-    for w0 in range(0, n_blocks, window):
-        per_block.extend(_scan_window(edges, w0, min(w0 + window, n_blocks)))
+    z_edges, brackets, where = [], [], []
+    for w0 in range(0, edges.size - 1, _WINDOW):
+        e = edges[w0:w0 + _WINDOW + 1]
+        width = np.diff(e)
+        n = np.maximum(1, np.ceil(width / step).astype(np.int64))
+        first = np.concatenate(([0], np.cumsum(n)))     # sample index of each edge
+        interval = np.repeat(np.arange(n.size), n)
+        j = np.arange(interval.size) - first[interval]
+        ts = np.append(j * (width / n)[interval] + e[interval], e[-1])
+        zs, _ = hardy_z_grid(ts)
+        flips = np.flatnonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)
+        z_edges.append(zs[first[1:]])
+        brackets.append(np.column_stack((ts[flips], ts[flips + 1])))
+        where.append(w0 + interval[flips])
+    return np.concatenate(z_edges), np.concatenate(brackets), np.concatenate(where)
 
-    counts = np.array([len(b) for b in per_block])
-    deviant = counts != 1
-    i = 0
-    while i < n_blocks:
-        if not deviant[i]:
-            i += 1
-            continue
-        j = i
-        while j < n_blocks and deviant[j]:
-            j += 1
-        if thorough or counts[i:j].sum() != (j - i):
-            for b in range(i, j):
-                per_block[b] = _ladder_rescan(float(edges[b]), float(edges[b + 1]),
-                                              per_block[b])
-        i = j
-    return [bracket for blocks in per_block for bracket in blocks]
+
+def _search(edges: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Brackets of the short Rosser block edges[a]..edges[b]: the ladder's
+    steps, one Gram interval per hardy_z_grid call, until b - a are found."""
+    for step in _LADDER:
+        found = np.concatenate([_scan(edges[i:i + 2], step)[1] for i in range(a, b)])
+        if len(found) >= b - a:
+            return found
+    raise UnresolvedBlockError(float(edges[a]), float(edges[b]), b - a - len(found))
+
+
+def _counted_brackets(t_max: float) -> np.ndarray:
+    """Sign-change brackets of Z from t = 10 through the Turing tail.
+
+    g_n is good when (-1)^n Z(g_n) > 0, and t = 10 counts as good since
+    N(10) = 0.  A Rosser block of k Gram intervals between two good points
+    should hold k sign changes: a short one is searched, and one that ends
+    with another count raises UnresolvedBlockError.  The scan goes on past
+    the first good g_n >= t_max until K = max(2, ceil(0.0061 log^2 g +
+    0.08 log g)) Rosser blocks have closed, g the last Gram point scanned.
+
+    R. P. Brent, Math. Comp. 33 (1979) 1361-1372, Theorem 3.2, as read here:
+    if K consecutive Rosser blocks with union [g_n, g_p) each hold at least
+    as many zeros as Gram intervals, and K >= 0.0061 log^2(g_p) +
+    0.08 log(g_p), then N(g_n) <= n + 1 (Turing's method, Proc. London Math.
+    Soc. (3) 3 (1953) 99-117; its bound on the integral of S(t) is Lehman's,
+    stated for t >= 168 pi).  With n + 1 sign changes below g_n, N(g_n) =
+    n + 1: every zero up to g_n is simple, on the line and found.
+    """
+    edges, z_gram = np.array([_SWEEP_START]), np.empty(0)
+    brackets, where = np.empty((0, 2)), np.empty(0, dtype=np.int64)
+    more = _gram_points_upto(t_max)
+    while more.size:
+        z, new, w = _scan(np.concatenate((edges[-1:], more)))
+        brackets = np.concatenate((brackets, new))
+        where = np.concatenate((where, w + edges.size - 1))
+        edges, z_gram = np.concatenate((edges, more)), np.concatenate((z_gram, z))
+        # z_gram[n] is Z(g_n), and g_n is edges[n + 1]
+        good = np.flatnonzero(np.where(np.arange(z_gram.size) % 2, -z_gram, z_gram) > 0)
+        good = np.concatenate(([0], 1 + good))
+        tail = good[edges[good] >= t_max]
+        blocks = max(2, math.ceil(0.0061 * math.log(edges[-1]) ** 2 + 0.08 * math.log(edges[-1])))
+        more = _gram_points(np.arange(z_gram.size, z_gram.size + blocks + 1 - tail.size))
+    good = good[good <= tail[blocks]]
+    total = np.concatenate(([0], np.cumsum(np.bincount(where, minlength=edges.size))))
+    start, end = good[:-1], good[1:]
+    deficit = (end - start) - (total[end] - total[start])
+    kept, found = np.ones(where.size, dtype=bool), []
+    for a, b, d in zip(start[deficit != 0], end[deficit != 0], deficit[deficit != 0]):
+        if d < 0:
+            raise UnresolvedBlockError(float(edges[a]), float(edges[b]), int(d))
+        kept &= (where < a) | (where >= b)
+        found.append(_search(edges, a, b))
+    brackets = np.concatenate([brackets[kept]] + found)
+    return brackets[np.argsort(brackets[:, 0])]
 
 
 def _illinois_roots(brackets) -> np.ndarray:
@@ -299,28 +316,20 @@ def _polish(roots: np.ndarray, refine_tol: float) -> tuple[np.ndarray, np.ndarra
 
 
 def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
-    """Locate all critical-line zeros with 0 < gamma <= t_max.
+    """Locate all zeros with 0 < gamma <= t_max, their count proved.
 
     t_max down to 10.5 is accepted (an empty result below the first zero is
-    legitimate); the supported ceiling is 1e5.  Raises
-    RefinementShortfallError when the polish leaves any residual above
-    refine_tol: the Euler-Maclaurin noise floor rises with t, so small
-    tolerances at large heights can be out of reach.
+    legitimate); the supported ceiling is 1e5.  Raises UnresolvedBlockError
+    for a Rosser block short of zeros, and RefinementShortfallError when the
+    polish leaves a residual above refine_tol: the Euler-Maclaurin noise floor
+    rises with t, so small tolerances at large heights can be out of reach.
     """
     if not (10.5 <= t_max <= 1e5):
         raise DomainError(f"t_max must lie in [10.5, 1e5] (got {t_max})")
-    if refine_tol < 1e-12:
-        raise DomainError(f"refine_tol must be >= 1e-12 (got {refine_tol})")
-    grams = _gram_points_upto(t_max)
-    edges = np.concatenate(([_SWEEP_START], grams))
-    cache = _assemble(t_max, _scan_blocks(edges), refine_tol)
-    deviation = count_audit(cache)
-    if abs(deviation) > 2.5:
-        cache = _assemble(t_max, _scan_blocks(edges, thorough=True), refine_tol)
-        deviation = count_audit(cache)
-        if abs(deviation) > 2.5:
-            lo, hi = _first_drift_interval(cache, edges)
-            raise UnresolvedBlockError(lo, hi, deviation)
+    if not 1e-12 <= refine_tol < math.inf:
+        raise DomainError(f"refine_tol must be finite and >= 1e-12 (got {refine_tol})")
+    brackets = _counted_brackets(t_max)
+    cache = _assemble(t_max, brackets[brackets[:, 0] <= t_max], refine_tol)
     residuals = np.array([r.residual for r in cache.records])
     short = int((residuals > refine_tol).sum())
     if short:
@@ -328,18 +337,6 @@ def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
         raise RefinementShortfallError(short, float(residuals[worst]),
                                        cache.records[worst].gamma, refine_tol)
     return cache
-
-
-def _first_drift_interval(cache: ZeroCache, edges: np.ndarray) -> tuple[float, float]:
-    """First Gram block where the cumulative count drifts beyond the S(t) wiggle."""
-    gammas = cache.gammas()
-    base = theta(float(edges[0])) / math.pi
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        found = float((gammas <= hi).sum())
-        expected = theta(float(min(hi, cache.t_max))) / math.pi - base
-        if abs(found - expected) > 2.5:
-            return float(lo), float(hi)
-    return float(edges[0]), float(edges[-1])
 
 
 def _assemble(t_max: float, brackets, refine_tol: float) -> ZeroCache:
@@ -435,6 +432,8 @@ def load(path) -> ZeroCache:
     t_max = float(fields["tmax"])
     n = int(fields["n"])
     tol = float(fields["tol"])
+    if not (math.isfinite(t_max) and math.isfinite(tol)):
+        raise CacheFormatError(f"non-finite tmax or tol in header: {lines[0]!r}")
     records = []
     for line in lines[1:-1]:
         idx, gamma, residual = line.split(",")

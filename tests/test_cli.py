@@ -62,6 +62,14 @@ class TestValidationErrors:
         assert main(["sweep", "--tmax", "30", "--cache", str(tmp_path / "z.csv"),
                      "--threads", "2"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_non_finite_refine_tol(self, tol, tmp_path, capsys):
+        path = tmp_path / "z.csv"
+        code = main(["sweep", "--tmax", "100", "--refine-tol", tol, "--cache", str(path)])
+        assert code == EXIT_VALIDATION
+        assert "refine_tol" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_computation_error_exit_code(self, monkeypatch, tmp_path, capsys):
         import zetamoments.cli as cli_mod
 

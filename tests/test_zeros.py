@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -46,8 +47,9 @@ class TestSweep:
     def test_domain_validation(self):
         with pytest.raises(zeros.DomainError):
             zeros.sweep(5.0)
-        with pytest.raises(zeros.DomainError):
-            zeros.sweep(100.0, refine_tol=1e-13)
+        for tol in (1e-13, math.nan, math.inf):
+            with pytest.raises(zeros.DomainError, match="refine_tol"):
+                zeros.sweep(100.0, refine_tol=tol)
 
     def test_refinement_shortfall_raises(self):
         # near t = 2000 three Newton steps on the EM route cannot reach 1e-12
@@ -62,12 +64,80 @@ class TestSweep:
         assert f"{err.worst:.3e}" in str(err)
 
 
+def _first_gram_pair(cache):
+    """The first two zeros that share one Gram interval (a Gram-law exception)."""
+    gammas = cache.gammas()
+    interval = np.searchsorted(zeros._gram_points_upto(cache.t_max), gammas)
+    i = int(np.flatnonzero(interval[1:] == interval[:-1])[0])
+    return float(gammas[i]), float(gammas[i + 1])
+
+
+def _fold(monkeypatch, lo, hi):
+    """Flip the sign of Z on (lo, hi): the zeros at lo and hi show no sign change
+    on any grid, so neither the scan nor the search can see them."""
+    real = zeros.hardy_z_grid
+
+    def folded(ts):
+        z, err = real(ts)
+        return np.where((ts > lo) & (ts < hi), -z, z), err
+
+    monkeypatch.setattr(zeros, "hardy_z_grid", folded)
+
+
+class TestRosserBlocks:
+    def test_hidden_pair_below_t_max_raises(self, cache1000, monkeypatch):
+        lo, hi = _first_gram_pair(cache1000)
+        assert 250.0 < lo < hi < 300.0        # the exception at g_126
+        _fold(monkeypatch, lo, hi)
+        with pytest.raises(zeros.UnresolvedBlockError) as info:
+            zeros.sweep(300.0)
+        err = info.value
+        assert err.t_lo < lo < hi < err.t_hi
+        assert err.deficit == 2
+        # the block runs between two good Gram points
+        for g in (err.t_lo, err.t_hi):
+            n = round(theta(g) / math.pi)
+            assert abs(g - zeros.gram_point(n)) < 1e-9
+            assert (-1) ** n * hardy_z(g).value.real > 0
+
+    def test_hidden_pair_in_turing_tail_raises(self, cache1000, monkeypatch):
+        lo, hi = _first_gram_pair(cache1000)
+        t_max = lo - 2.0                      # a Gram interval or so below the pair
+        assert len(zeros.sweep(t_max)) == len(cache1000.truncated(t_max))
+        _fold(monkeypatch, lo, hi)
+        with pytest.raises(zeros.UnresolvedBlockError) as info:
+            zeros.sweep(t_max)
+        assert t_max <= info.value.t_lo < lo < hi < info.value.t_hi
+
+    def test_scan_is_linspace_per_gram_interval(self):
+        # reference: one np.linspace grid and one hardy_z_grid call per interval
+        edges = np.concatenate(([zeros._SWEEP_START], zeros._gram_points_upto(1000.0)))
+        z_gram, brackets, where = zeros._scan(edges)
+        ref, ref_where, ref_z = [], [], []
+        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+            ts = np.linspace(lo, hi, max(2, math.ceil((hi - lo) / zeros._SCAN_STEP) + 1))
+            zs, _ = hardy_z_grid(ts)
+            flips = np.flatnonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)
+            ref += [(ts[f], ts[f + 1]) for f in flips]
+            ref_where += [i] * flips.size
+            ref_z.append(zs[-1])
+        assert np.array_equal(brackets, np.array(ref))
+        assert np.array_equal(where, ref_where)
+        assert np.array_equal(z_gram, ref_z)
+
+    def test_no_block_searched_to_1000(self, monkeypatch):
+        searched = []
+        monkeypatch.setattr(zeros, "_search", lambda *a: searched.append(a))
+        assert len(zeros.sweep(1000.0)) == 649
+        assert searched == []
+
+
 class TestIllinoisRoots:
     def test_matches_brentq_on_public_hardy_z(self):
         # brentq on the scalar evaluator is the reference; the T = 1e3 brackets
         # cover both the Euler-Maclaurin (t < 200) and Riemann-Siegel routes
         edges = np.concatenate(([zeros._SWEEP_START], zeros._gram_points_upto(1000.0)))
-        brackets = zeros._scan_blocks(edges)
+        _, brackets, _ = zeros._scan(edges)
         assert brackets[0][1] < zetafn._RS_CUTOVER < brackets[-1][0]
         roots = zeros._illinois_roots(brackets)
         assert roots.size == len(brackets)
@@ -143,6 +213,12 @@ class TestPersistence:
         with pytest.raises(zeros.CacheInvariantError):
             cache.validate()
 
+    def test_nan_residual_rejected(self):
+        cache = zeros.ZeroCache(
+            t_max=20.0, records=(zeros.ZeroRecord(1, GAMMA_1, math.nan),))
+        with pytest.raises(zeros.CacheInvariantError):
+            cache.validate()
+
     def test_non_monotone_rejected(self, cache100, tmp_path):
         path = tmp_path / "bad.csv"
         zeros.save(cache100, path)
@@ -185,6 +261,34 @@ class TestPersistence:
         path.write_text(body + f"#sha256={digest}\n")
         with pytest.raises(zeros.CacheFormatError):
             zeros.load(path)
+
+    @staticmethod
+    def _write(path, body):
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        path.write_text(body + f"#sha256={digest}\n")
+
+    def test_nan_tol_rejected(self, tmp_path):
+        # max(nan, floor) is nan, which would let any residual through
+        path = tmp_path / "nantol.csv"
+        self._write(path, f"zcache v1 tmax=20.0 n=1 tol=nan\n1,{GAMMA_1!r},5e-9\n")
+        with pytest.raises(zeros.CacheFormatError, match="non-finite"):
+            zeros.load(path)
+
+    def test_nan_tmax_rejected(self, tmp_path):
+        path = tmp_path / "nantmax.csv"
+        self._write(path, "zcache v1 tmax=nan n=0 tol=1e-10\n")
+        with pytest.raises(zeros.CacheFormatError, match="non-finite"):
+            zeros.load(path)
+
+    def test_gammas_built_once_read_only(self, cache1000):
+        first = cache1000.gammas()
+        assert cache1000.gammas() is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        sub = cache1000.truncated(250.0)
+        assert sub.gammas() is not first
+        assert np.array_equal(sub.gammas(), first[:sub.gammas().size])
 
     def test_truncated_view(self, cache1000):
         sub = cache1000.truncated(250.0)
