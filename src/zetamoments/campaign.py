@@ -22,6 +22,7 @@ from .zeros import ZeroCache, count_audit, load, sweep
 from .zetafn import CONSTANTS, NearZeroError, chi, digamma, log_deriv, zeta
 
 _SCHEMA = "audit.v1"
+_DRIFT_TOL = 1e-9       # compare_reports flags relative differences above this
 
 
 class ReportSchemaError(ValueError):
@@ -305,8 +306,6 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
 
     def continuous():
         ks = tuple(config.k_list)
-        if not ks:
-            return
         t_top = min(config.t_max, 2000.0)
         for k, val in zip(ks, moments.continuous_moment(ks, t_top, 0.01)):
             scale = math.log(t_top) ** (k * k)
@@ -382,7 +381,7 @@ def load_report(path) -> dict:
     return doc
 
 
-def compare_reports(path_a, path_b, drift_tol: float = 1e-9) -> dict:
+def compare_reports(path_a, path_b) -> dict:
     """Per-audit relative differences between two reports of the same schema."""
     doc_a = load_report(path_a)
     doc_b = load_report(path_b)
@@ -400,12 +399,12 @@ def compare_reports(path_a, path_b, drift_tol: float = 1e-9) -> dict:
         denom = max(abs(fa), abs(fb), 1e-300)
         rel = abs(fa - fb) / denom
         rows[name] = {"a": fa, "b": fb, "relative_difference": rel}
-        if rel > drift_tol:
+        if rel > _DRIFT_TOL:
             flagged.append(name)
     same_campaign = doc_a["campaign"] == doc_b["campaign"]
     return {
         "identical_campaign": same_campaign,
         "audits": rows,
         "flagged": flagged,
-        "drift_tolerance": drift_tol,
+        "drift_tolerance": _DRIFT_TOL,
     }

@@ -57,9 +57,13 @@ def _emit_rows(rows: list[dict], out: str | None) -> None:
     _progress(f"wrote {out}")
 
 
-def _load_cache(path: str) -> zeros.ZeroCache:
+def _require_file(path: str) -> None:
     if not os.path.exists(path):
         raise _ValidationExit(f"--cache {path}: file not found")
+
+
+def _load_cache(path: str) -> zeros.ZeroCache:
+    _require_file(path)
     return zeros.load(path)
 
 
@@ -172,7 +176,9 @@ def _cmd_continuous(args) -> int:
 
 def _cmd_audit(args) -> int:
     if args.cache is not None:
-        _load_cache(args.cache)         # a bad --cache exits 1 before any work
+        # a missing file exits 1 here; run_campaign loads the cache before
+        # any audit, so a corrupt one exits 1 through main's handler
+        _require_file(args.cache)
     config = CampaignConfig(
         t_max=args.tmax,
         k_list=tuple(args.k) if args.k is not None else (1.0, 2.0),

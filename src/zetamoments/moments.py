@@ -167,7 +167,7 @@ def values_at_zeros(cache: ZeroCache, alpha: complex = 0.0,
     table = shift_evaluator(cache)
     if table.covers(alpha):
         return table.values(alpha, order)
-    return zeta_at_heights(cache.gammas(), alpha=alpha, order=order)[0]
+    return zeta_at_heights(cache.gammas, alpha=alpha, order=order)[0]
 
 
 def _check_shift(t_max: float, alpha: complex) -> None:
@@ -498,9 +498,7 @@ def prime_lambda_difference(spec: DirichletPolySpec, t: float) -> tuple[float, f
 
     The fitted constant divides by log log log tau with tau = |t| + e^30.
     """
-    import dataclasses
-    full = dataclasses.replace(spec, prime_only=False)
     s = complex(0.0, t)
-    diff = abs(smoothed_sum(full, s) - prime_sum(full, s))
+    diff = abs(smoothed_sum(spec, s) - prime_sum(spec, s))
     shape = math.log(math.log(math.log(abs(t) + TAU_OFFSET_PRIME)))
     return diff, diff / shape

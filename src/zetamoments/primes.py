@@ -93,7 +93,7 @@ def shared_sieve(limit: int) -> SieveTable:
 
 @dataclass(frozen=True)
 class DirichletPolySpec:
-    """Parameters of one smoothed polynomial: length x, shift lam, options.
+    """Parameters of one smoothed polynomial: length x, shift lam, split point z.
 
     The majorant inequality needs lambda0 <= lam <= log(x)/4, a range that is
     empty for x below e^{4 lambda0} ~ 9.7; the sums themselves are well
@@ -103,7 +103,6 @@ class DirichletPolySpec:
 
     x: float
     lam: float = CONSTANTS.lambda0
-    prime_only: bool = False
     split_z: float | None = None
 
     def __post_init__(self):
@@ -132,14 +131,11 @@ def _poly_sum(ns: np.ndarray, coeff: np.ndarray, sigma: float, t: float) -> comp
 
 
 def smoothed_sum(spec: DirichletPolySpec, s: complex) -> complex:
-    """Smoothed polynomial at sigma_lam + i Im(s), honoring spec.prime_only.
+    """Lambda-weighted smoothed polynomial at sigma_lam + i Im(s).
 
     The evaluation abscissa is always the shifted sigma_lam; only the height
-    is taken from s.  With prime_only set this is the prime-restricted sum
-    with weight log(x/p)/log x; otherwise the Lambda-weighted sum.
+    is taken from s.  prime_sum is the prime-restricted sum.
     """
-    if spec.prime_only:
-        return prime_sum(spec, s)
     t = complex(s).imag
     x = spec.x
     nmax = int(math.floor(x))

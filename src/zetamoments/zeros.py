@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -59,7 +58,7 @@ class ChecksumError(CacheFormatError):
 
 
 class CacheInvariantError(ValueError):
-    """Loaded records violate a ZeroCache invariant."""
+    """A cache, loaded or built, violates a ZeroCache invariant."""
 
 
 class UnresolvedBlockError(RuntimeError):
@@ -92,60 +91,76 @@ class ZeroRecord:
     residual: float
 
 
-@dataclass(frozen=True)
-class CacheMeta:
-    tool_version: str
-    refine_tol: float
-    created_at: str | None = None
+def _read_only(values) -> np.ndarray:
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroCache:
-    """Ordered zeros with 0 < gamma <= t_max plus provenance."""
+    """Ordered zeros with 0 < gamma <= t_max, their residuals |Z(gamma)| and
+    the tolerance the polish aimed at.
+
+    gammas and residuals are read-only float64 copies of what was passed in.
+    Two caches are equal when t_max and both arrays are.
+    """
 
     t_max: float
-    records: tuple[ZeroRecord, ...]
-    meta: CacheMeta = field(compare=False, default=CacheMeta("?", 1e-10))
+    gammas: np.ndarray
+    residuals: np.ndarray
+    refine_tol: float = 1e-10
+
+    def __post_init__(self):
+        # float() keeps the header that save writes readable by load
+        object.__setattr__(self, "t_max", float(self.t_max))
+        object.__setattr__(self, "refine_tol", float(self.refine_tol))
+        object.__setattr__(self, "gammas", _read_only(self.gammas))
+        object.__setattr__(self, "residuals", _read_only(self.residuals))
+
+    def __eq__(self, other):
+        if not isinstance(other, ZeroCache):
+            return NotImplemented
+        return (self.t_max == other.t_max
+                and np.array_equal(self.gammas, other.gammas)
+                and np.array_equal(self.residuals, other.residuals))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.gammas.size
 
-    def gammas(self) -> np.ndarray:
-        """The ordinates as one read-only array, built once per instance."""
-        return self._gammas
-
-    @cached_property
-    def _gammas(self) -> np.ndarray:
-        gammas = np.array([r.gamma for r in self.records], dtype=np.float64)
-        gammas.flags.writeable = False
-        return gammas
+    @property
+    def records(self) -> tuple[ZeroRecord, ...]:
+        """The zeros as records, built on each access; perfbench/worker.py
+        reads index, gamma and residual from them."""
+        return tuple(ZeroRecord(i, g, r) for i, (g, r) in enumerate(
+            zip(self.gammas.tolist(), self.residuals.tolist()), start=1))
 
     @cached_property
     def shift_table(self) -> ZeroShiftEvaluator:
         """Taylor table of zeta(rho + alpha) at these zeros, built on first use.
 
-        The records are an immutable tuple, so the instance is the table's
-        whole identity; a truncated or reloaded cache builds its own.
+        The ordinates are read-only, so the instance is the table's whole
+        identity; a truncated or reloaded cache builds its own.
         """
-        return ZeroShiftEvaluator(self.gammas(), self.t_max)
+        return ZeroShiftEvaluator(self.gammas, self.t_max)
 
     def truncated(self, t_max: float) -> "ZeroCache":
-        """Sub-cache of zeros with gamma <= t_max (shares records)."""
+        """Sub-cache of zeros with gamma <= t_max."""
         if t_max > self.t_max:
             raise ValueError(f"cannot extend cache from {self.t_max} to {t_max}")
-        kept = tuple(r for r in self.records if r.gamma <= t_max)
-        return ZeroCache(t_max=t_max, records=kept, meta=self.meta)
+        n = int(np.searchsorted(self.gammas, t_max, side="right"))
+        return ZeroCache(t_max, self.gammas[:n], self.residuals[:n], self.refine_tol)
 
     def validate(self) -> None:
-        gammas = [r.gamma for r in self.records]
-        if any(b <= a for a, b in zip(gammas, gammas[1:])):
+        g, r = self.gammas, self.residuals
+        if g.ndim != 1 or g.shape != r.shape:
+            raise CacheInvariantError("gammas and residuals differ in shape")
+        if np.any(g[1:] <= g[:-1]):
             raise CacheInvariantError("gammas not strictly increasing")
-        if any(r.index != i + 1 for i, r in enumerate(self.records)):
-            raise CacheInvariantError("indices not contiguous from 1")
-        if any(not (14.0 < g <= self.t_max) for g in gammas):
+        if not np.all((14.0 < g) & (g <= self.t_max)):
             raise CacheInvariantError("ordinate outside (14, t_max]")
-        bound = max(self.meta.refine_tol, _RESIDUAL_FLOOR)
-        if not all(0 <= r.residual <= bound for r in self.records):
+        bound = max(self.refine_tol, _RESIDUAL_FLOOR)
+        if not np.all((0 <= r) & (r <= bound)):
             raise CacheInvariantError(f"residual outside [0, {bound:g}]")
 
 
@@ -329,34 +344,16 @@ def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
     if not 1e-12 <= refine_tol < math.inf:
         raise DomainError(f"refine_tol must be finite and >= 1e-12 (got {refine_tol})")
     brackets = _counted_brackets(t_max)
-    cache = _assemble(t_max, brackets[brackets[:, 0] <= t_max], refine_tol)
-    residuals = np.array([r.residual for r in cache.records])
-    short = int((residuals > refine_tol).sum())
+    roots = _illinois_roots(brackets[brackets[:, 0] <= t_max])
+    gammas, residuals = _polish(roots, refine_tol)
+    kept = gammas <= t_max
+    cache = ZeroCache(t_max, gammas[kept], residuals[kept], refine_tol)
+    short = int((cache.residuals > refine_tol).sum())
     if short:
-        worst = int(np.argmax(residuals))
-        raise RefinementShortfallError(short, float(residuals[worst]),
-                                       cache.records[worst].gamma, refine_tol)
+        worst = int(np.argmax(cache.residuals))
+        raise RefinementShortfallError(short, float(cache.residuals[worst]),
+                                       float(cache.gammas[worst]), refine_tol)
     return cache
-
-
-def _assemble(t_max: float, brackets, refine_tol: float) -> ZeroCache:
-    roots = _illinois_roots(brackets)
-    if roots.size:
-        gammas, residuals = _polish(roots, refine_tol)
-    else:
-        gammas = residuals = np.empty(0)
-    records = []
-    for gamma, residual in zip(gammas, residuals):
-        if gamma > t_max:
-            continue
-        records.append(ZeroRecord(index=len(records) + 1, gamma=float(gamma),
-                                  residual=float(residual)))
-    return ZeroCache(
-        t_max=float(t_max),
-        records=tuple(records),
-        meta=CacheMeta(tool_version=_tool_version(), refine_tol=refine_tol,
-                       created_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())),
-    )
 
 
 def count_audit(cache: ZeroCache) -> float:
@@ -382,31 +379,28 @@ def gram_interlacing_fraction(cache: ZeroCache, t_upto: float | None = None) -> 
     limit = cache.t_max if t_upto is None else min(t_upto, cache.t_max)
     grams = _gram_points_upto(limit)
     grams = grams[grams <= limit]
-    gammas = [g for g in cache.gammas() if g <= limit]
-    if not gammas:
+    gammas = cache.gammas[cache.gammas <= limit]
+    if not gammas.size:
         return 1.0
-    ok = 0
-    for i, gam in enumerate(gammas, start=1):
-        lo = grams[i - 2] if i >= 2 else 0.0
-        hi = grams[i - 1] if i - 1 < grams.size else math.inf
-        ok += lo < gam < hi
-    return ok / len(gammas)
-
-
-def _tool_version() -> str:
-    from . import __version__
-    return __version__
+    # zero i sits in (g_{i-2}, g_{i-1}), with g_{-1} = 0; a Gram point past
+    # limit is taken as +inf
+    edges = np.concatenate(([0.0], grams, np.full(gammas.size, math.inf)))
+    ok = (edges[:gammas.size] < gammas) & (gammas < edges[1:gammas.size + 1])
+    return np.count_nonzero(ok) / gammas.size
 
 
 # ---------------------------------------------------------------------------
 # persistence
 
 
+_ROW = np.dtype([("index", np.int64), ("gamma", np.float64), ("residual", np.float64)])
+
+
 def save(cache: ZeroCache, path) -> None:
     """Write the cache file; gammas serialized at 17 significant digits."""
-    lines = [f"zcache v1 tmax={cache.t_max!r} n={len(cache)} tol={cache.meta.refine_tol!r}"]
-    for r in cache.records:
-        lines.append(f"{r.index},{r.gamma:.17g},{r.residual:.17g}")
+    lines = [f"zcache v1 tmax={cache.t_max!r} n={len(cache)} tol={cache.refine_tol!r}"]
+    lines += [f"{i},{g:.17g},{r:.17g}" for i, (g, r) in enumerate(
+        zip(cache.gammas.tolist(), cache.residuals.tolist()), start=1)]
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     Path(path).write_text(body + f"#sha256={digest}\n", encoding="utf-8")
@@ -434,13 +428,14 @@ def load(path) -> ZeroCache:
     tol = float(fields["tol"])
     if not (math.isfinite(t_max) and math.isfinite(tol)):
         raise CacheFormatError(f"non-finite tmax or tol in header: {lines[0]!r}")
-    records = []
-    for line in lines[1:-1]:
-        idx, gamma, residual = line.split(",")
-        records.append(ZeroRecord(int(idx), float(gamma), float(residual)))
-    if len(records) != n:
-        raise CacheFormatError(f"header claims {n} records, file has {len(records)}")
-    cache = ZeroCache(t_max=t_max, records=tuple(records),
-                      meta=CacheMeta(tool_version=_tool_version(), refine_tol=tol))
+    rows = lines[1:-1]
+    if len(rows) != n:
+        raise CacheFormatError(f"header claims {n} zeros, file has {len(rows)} rows")
+    table = (np.loadtxt(rows, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+             if n else np.empty(0, dtype=_ROW))
+    # a blank row, which loadtxt skips, leaves the index column short
+    if not np.array_equal(table["index"], np.arange(1, n + 1)):
+        raise CacheInvariantError("indices not 1..n")
+    cache = ZeroCache(t_max, table["gamma"], table["residual"], tol)
     cache.validate()
     return cache

@@ -105,7 +105,7 @@ def gonek_sum(cache: ZeroCache, x: float) -> GonekReport:
     if len(cache) == 0:
         raise PreconditionError("gonek_sum needs a nonempty zero cache")
     t_max = cache.t_max
-    gammas = cache.gammas()
+    gammas = cache.gammas
     logx = math.log(x)
     empirical = complex(math.sqrt(x) * np.exp(1j * gammas * logx).sum())
     main = -(t_max / TWO_PI) * mangoldt_real(x)
@@ -133,7 +133,7 @@ def mean_square_over_zeros(cache: ZeroCache, coeffs, alpha: complex) -> MeanSqua
     if not (3 <= xi <= t_max / math.log(t_max)):
         raise PreconditionError(
             f"xi = {xi} outside [3, T/log T] = [3, {t_max / math.log(t_max):.1f}]")
-    gammas = cache.gammas()
+    gammas = cache.gammas
     ns = np.arange(1, xi + 1, dtype=np.float64)
     logn = np.log(ns)
     weights = a * np.exp(-(0.5 + alpha) * logn)     # a_n n^{-1/2 - alpha}
@@ -188,7 +188,7 @@ def _window(cache: ZeroCache, t: float, window: float) -> tuple[np.ndarray, np.n
     if t + window > cache.t_max:
         raise InsufficientCacheError(
             f"window reaches {t + window:.1f} beyond cache t_max {cache.t_max}")
-    gammas = cache.gammas()
+    gammas = cache.gammas
     inside = gammas[gammas <= t + window]
     return inside[np.abs(inside - t) <= window], inside
 

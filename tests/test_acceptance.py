@@ -44,14 +44,14 @@ def test_criterion_1_zero_infrastructure():
         lambda t: (cmath.exp(1j * theta(t))
                    * em_zeta_oracle(complex(0.5, t))[0]).real,
         14.1, 14.2, scan_step=1e-3)
-    gamma_err = abs(cache.records[0].gamma - gamma_oracle)
+    gamma_err = abs(cache.gammas[0] - gamma_oracle)
     ok = abs(deviation) <= 2.0 and gamma_err <= 1e-8 and elapsed <= 60.0
     _report(1, "zero sweep to T=1000", ok,
             f"N={len(cache)}, count dev {deviation:+.3f} (<=2), "
             f"gamma_1 err {gamma_err:.2e} (<=1e-8), {elapsed:.1f}s (<=60s)")
     assert abs(deviation) <= 2.0
     assert gamma_err <= 1e-8
-    assert abs(cache.records[0].gamma - GAMMA_1) <= 1e-8
+    assert abs(cache.gammas[0] - GAMMA_1) <= 1e-8
     assert elapsed <= 60.0
 
 

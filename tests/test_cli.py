@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zetamoments import moments, zeros
+from zetamoments import campaign, moments, zeros
 from zetamoments.cli import EXIT_COMPUTATION, EXIT_OK, EXIT_VALIDATION, build_parser, main
 
 SUBCOMMANDS = ("sweep", "moments", "shifted", "largeval", "gonek",
@@ -57,6 +57,40 @@ class TestValidationErrors:
         assert code == EXIT_VALIDATION
         assert "not found" in capsys.readouterr().err
         assert not out.exists()
+
+    @staticmethod
+    def _count_loads(monkeypatch) -> list:
+        real, calls = zeros.load, []
+
+        def counted(path):
+            calls.append(path)
+            return real(path)
+
+        # campaign holds its own reference to zeros.load
+        monkeypatch.setattr(zeros, "load", counted)
+        monkeypatch.setattr(campaign, "load", counted)
+        return calls
+
+    def test_audit_corrupt_cache_read_once(self, cli_cache, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "bad.csv"
+        with open(cli_cache) as fh:
+            bad.write_text(fh.read().replace("14.134", "14.135", 1))
+        calls = self._count_loads(monkeypatch)
+        out = tmp_path / "rep.json"
+        code = main(["audit", "--tmax", "100", "--cache", str(bad), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "sha256 mismatch" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls == [str(bad)]
+
+    def test_audit_reads_cache_once(self, cli_cache, tmp_path, monkeypatch, capsys):
+        calls = self._count_loads(monkeypatch)
+        out = tmp_path / "rep.json"
+        code = main(["audit", "--tmax", "100", "--cache", cli_cache, "--k", "1",
+                     "--out", str(out)])
+        assert code == EXIT_OK
+        assert out.exists()
+        assert calls == [cli_cache]
 
     def test_threads_flag_removed(self, tmp_path, capsys):
         assert main(["sweep", "--tmax", "30", "--cache", str(tmp_path / "z.csv"),

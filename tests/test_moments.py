@@ -56,15 +56,15 @@ class TestShiftedMoment:
             neg = shifted_moment(cache1000, k, -1.0 / lt).raw_sum
             pos = shifted_moment(cache1000, k, 1.0 / lt).raw_sum
             c_fit = max(abs(chi(complex(0.5 - 1.0 / lt, g)).value)
-                        for g in cache1000.gammas()[::37])
+                        for g in cache1000.gammas[::37])
             assert neg <= (c_fit ** (2.0 * k)) * pos * (1.0 + 1e-6)
 
     def test_imaginary_shift_against_hardy_z(self, cache1000):
         lt = math.log(cache1000.t_max)
         rep = shifted_moment(cache1000, 1.0, complex(0.0, 1.0 / lt))
         direct = math.fsum(
-            abs(hardy_z(r.gamma + 1.0 / lt).value) ** 2
-            for r in cache1000.records)
+            abs(hardy_z(gamma + 1.0 / lt).value) ** 2
+            for gamma in cache1000.gammas.tolist())
         assert abs(rep.raw_sum - direct) <= 1e-8 * direct
 
     def test_alpha_range_validation(self, cache1000):
@@ -270,7 +270,7 @@ class TestEvaluatorConsistency:
             assert np.abs(direct - fast).max() <= 1e-10 * max(1.0, scale)
 
     def test_table_matches_em_route(self, cache1000):
-        gammas = cache1000.gammas()
+        gammas = cache1000.gammas
         lt = math.log(1000.0)
         cases = [(0.0, ell) for ell in (0, 1, 2)] + [
             (alpha, 0) for alpha in (1.0 / lt, -1.0 / lt, complex(0.0, 1.0 / lt),
@@ -282,7 +282,7 @@ class TestEvaluatorConsistency:
             assert np.abs(direct - table).max() <= 1e-10 * max(1.0, scale)
 
     def test_shift_beyond_table_radius_takes_em_route(self, cache1000):
-        direct, _ = zetafn.zeta_at_heights(cache1000.gammas(), 0.5j, 0)
+        direct, _ = zetafn.zeta_at_heights(cache1000.gammas, 0.5j, 0)
         assert np.array_equal(moments.values_at_zeros(cache1000, 0.5j, 0), direct)
         with pytest.raises(zetafn.DomainError):
             moments.shift_evaluator(cache1000).values(0.5j)
@@ -294,7 +294,7 @@ def test_table_within_committed_error_of_mpmath(fixture, request):
     value lies within the error zeta_at_heights commits at the same point."""
     mpmath = pytest.importorskip("mpmath")
     cache = request.getfixturevalue(fixture)
-    gammas = cache.gammas()
+    gammas = cache.gammas
     idx = np.linspace(0, gammas.size - 1, 12).astype(int)
     lt = math.log(cache.t_max)
     cases = [(0.0, 1), (0.0, 2), (1.0 / lt, 0), (-1.0 / lt, 0), (1j / lt, 0)]

@@ -135,7 +135,7 @@ class TestS1S2:
         # mean |S2(rho)|^2 over gamma <= 500 against the sum 1/p shape
         spec = DirichletPolySpec(x=400.0, split_z=20.0)
         sub = cache1000.truncated(500.0)
-        vals = [abs(primes.s1_s2(spec, r.gamma)[1]) ** 2 for r in sub.records]
+        vals = [abs(primes.s1_s2(spec, gamma)[1]) ** 2 for gamma in sub.gammas.tolist()]
         mean_sq = sum(vals) / len(vals)
         sieve = primes.shared_sieve(400)
         ps = sieve.primes(400)
@@ -173,12 +173,3 @@ class TestStandardEstimates:
         assert not DirichletPolySpec(x=3.0).in_majorant_range
         assert DirichletPolySpec(x=100.0, lam=CONSTANTS.lambda0).in_majorant_range
 
-
-class TestPrimeOnlyFlag:
-    def test_smoothed_sum_honors_prime_only(self):
-        base = DirichletPolySpec(x=300.0, lam=CONSTANTS.lambda0)
-        flagged = DirichletPolySpec(x=300.0, lam=CONSTANTS.lambda0,
-                                    prime_only=True)
-        s = complex(0.0, 42.0)
-        assert primes.smoothed_sum(flagged, s) == primes.prime_sum(base, s)
-        assert primes.smoothed_sum(base, s) != primes.smoothed_sum(flagged, s)

@@ -105,7 +105,7 @@ def test_hardy_z_grid_rejects_unsorted_heights(ts):
 def test_table_matches_em_route_inside_radius(cache100, fraction, angle):
     table = moments.shift_evaluator(cache100)
     alpha = fraction * table.radius * complex(math.cos(angle), math.sin(angle))
-    direct, _ = zeta_at_heights(cache100.gammas(), alpha)
+    direct, _ = zeta_at_heights(cache100.gammas, alpha)
     scale = np.abs(direct).max()
     assert np.abs(table.values(alpha) - direct).max() <= 1e-10 * max(1.0, scale)
 
@@ -118,5 +118,5 @@ def test_save_load_round_trips_every_accepted_tolerance(exponent):
         path = Path(tmp) / "zeros.csv"
         zeros.save(cache, path)
         back = zeros.load(path)
-    assert back.records == cache.records
-    assert back.meta.refine_tol == cache.meta.refine_tol
+    assert back == cache
+    assert back.refine_tol == cache.refine_tol

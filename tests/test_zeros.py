@@ -25,8 +25,8 @@ class TestSweep:
         assert len(cache) == 1
         # oracle: bracket on a fine scan, then pure bisection on the oracle Z
         gamma_oracle = bisect_zero(_oracle_z, 14.1, 14.2, scan_step=1e-3)
-        assert abs(cache.records[0].gamma - gamma_oracle) <= 1e-8
-        assert abs(cache.records[0].gamma - GAMMA_1) <= 1e-8
+        assert abs(cache.gammas[0] - gamma_oracle) <= 1e-8
+        assert abs(cache.gammas[0] - GAMMA_1) <= 1e-8
 
     def test_count_to_100_vs_fine_grid(self, cache100):
         oracle_count = sign_change_count(
@@ -39,7 +39,7 @@ class TestSweep:
         assert len(cache) == 0
 
     def test_residuals_within_tolerance(self, cache1000):
-        assert all(r.residual <= 1e-9 for r in cache1000.records)
+        assert cache1000.residuals.max() <= 1e-9
 
     def test_strictly_increasing_and_contiguous(self, cache1000):
         cache1000.validate()
@@ -66,7 +66,7 @@ class TestSweep:
 
 def _first_gram_pair(cache):
     """The first two zeros that share one Gram interval (a Gram-law exception)."""
-    gammas = cache.gammas()
+    gammas = cache.gammas
     interval = np.searchsorted(zeros._gram_points_upto(cache.t_max), gammas)
     i = int(np.flatnonzero(interval[1:] == interval[:-1])[0])
     return float(gammas[i]), float(gammas[i + 1])
@@ -181,13 +181,17 @@ class TestGram:
     def test_interlacing_fraction(self, cache1000):
         assert zeros.gram_interlacing_fraction(cache1000) >= 0.95
 
+    def test_interlacing_fraction_at_1000(self, cache1000):
+        # 627 of the 649 zeros below 1000 lie in (g_{n-2}, g_{n-1})
+        assert zeros.gram_interlacing_fraction(cache1000) == 627 / 649
+
 
 class TestResidualCrossCheck:
     def test_zeta_modulus_bounded_by_residual(self, cache1000):
         # cross-check through zeta (not hardy_z), per contract
-        for rec in cache1000.records[::29]:
-            val = zeta(complex(0.5, rec.gamma))
-            assert abs(val.value) <= 10.0 * max(rec.residual, 1e-13)
+        for gamma, residual in zip(cache1000.gammas[::29], cache1000.residuals[::29]):
+            val = zeta(complex(0.5, gamma))
+            assert abs(val.value) <= 10.0 * max(residual, 1e-13)
 
 
 class TestPersistence:
@@ -196,8 +200,7 @@ class TestPersistence:
         zeros.save(cache100, path)
         loaded = zeros.load(path)
         assert loaded == cache100
-        assert [r.gamma for r in loaded.records] == \
-            [r.gamma for r in cache100.records]
+        assert loaded.gammas.tolist() == cache100.gammas.tolist()
 
     def test_round_trip_at_loose_refine_tol(self, tmp_path):
         # residuals of up to ~2.5e-9 are within this cache's own tolerance
@@ -207,16 +210,19 @@ class TestPersistence:
         assert zeros.load(path) == cache
 
     def test_residual_above_recorded_tol_rejected(self):
-        cache = zeros.ZeroCache(
-            t_max=20.0, records=(zeros.ZeroRecord(1, GAMMA_1, 2e-8),),
-            meta=zeros.CacheMeta("test", refine_tol=1e-8))
+        cache = zeros.ZeroCache(t_max=20.0, gammas=[GAMMA_1], residuals=[2e-8],
+                                refine_tol=1e-8)
         with pytest.raises(zeros.CacheInvariantError):
             cache.validate()
 
     def test_nan_residual_rejected(self):
-        cache = zeros.ZeroCache(
-            t_max=20.0, records=(zeros.ZeroRecord(1, GAMMA_1, math.nan),))
+        cache = zeros.ZeroCache(t_max=20.0, gammas=[GAMMA_1], residuals=[math.nan])
         with pytest.raises(zeros.CacheInvariantError):
+            cache.validate()
+
+    def test_shape_mismatch_rejected(self):
+        cache = zeros.ZeroCache(t_max=30.0, gammas=[GAMMA_1, 21.0], residuals=[1e-11])
+        with pytest.raises(zeros.CacheInvariantError, match="shape"):
             cache.validate()
 
     def test_non_monotone_rejected(self, cache100, tmp_path):
@@ -233,6 +239,17 @@ class TestPersistence:
         digest = hashlib.sha256(body.encode()).hexdigest()
         path.write_text(body + f"#sha256={digest}\n")
         with pytest.raises(zeros.CacheInvariantError):
+            zeros.load(path)
+
+    def test_index_gap_rejected(self, cache100, tmp_path):
+        path = tmp_path / "gap.csv"
+        zeros.save(cache100, path)
+        lines = path.read_text().splitlines()
+        row = lines[5].split(",")
+        row[0] = str(int(row[0]) + 1)           # indices 1..4, 6, 6, 7, ...
+        lines[5] = ",".join(row)
+        self._write(path, "\n".join(lines[:-1]) + "\n")
+        with pytest.raises(zeros.CacheInvariantError, match="indices"):
             zeros.load(path)
 
     def test_header_only_file(self, tmp_path):
@@ -281,18 +298,34 @@ class TestPersistence:
             zeros.load(path)
 
     def test_gammas_built_once_read_only(self, cache1000):
-        first = cache1000.gammas()
-        assert cache1000.gammas() is first
-        assert not first.flags.writeable
-        with pytest.raises(ValueError):
-            first[0] = 0.0
-        sub = cache1000.truncated(250.0)
-        assert sub.gammas() is not first
-        assert np.array_equal(sub.gammas(), first[:sub.gammas().size])
+        first = cache1000.gammas
+        assert cache1000.gammas is first
+        for array in (cache1000.gammas, cache1000.residuals):
+            assert array.dtype == np.float64
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_construction_copies(self):
+        gammas, residuals = np.array([GAMMA_1]), np.array([1e-11])
+        cache = zeros.ZeroCache(20.0, gammas, residuals)
+        gammas[0] = residuals[0] = 0.0
+        assert cache.gammas[0] == GAMMA_1 and cache.residuals[0] == 1e-11
 
     def test_truncated_view(self, cache1000):
         sub = cache1000.truncated(250.0)
         assert sub.t_max == 250.0
-        assert all(r.gamma <= 250.0 for r in sub.records)
+        assert sub.gammas.max() <= 250.0
         full = zeros.sweep(250.0)
-        assert [r.gamma for r in sub.records] == [r.gamma for r in full.records]
+        assert sub.gammas.tolist() == full.gammas.tolist()
+
+    def test_truncated_prefix_read_only(self, cache1000):
+        sub = cache1000.truncated(250.0)
+        n = len(sub)
+        assert 0 < n < len(cache1000)
+        assert cache1000.gammas[n] > 250.0
+        assert np.array_equal(sub.gammas, cache1000.gammas[:n])
+        assert np.array_equal(sub.residuals, cache1000.residuals[:n])
+        assert sub.refine_tol == cache1000.refine_tol
+        assert not sub.gammas.flags.writeable
+        assert not sub.residuals.flags.writeable

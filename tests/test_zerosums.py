@@ -77,7 +77,7 @@ class TestMeanSquare:
         a = rng.normal(size=100) + 1j * rng.normal(size=100)
         alpha = complex(0.15, 0.3)
         logn = np.log(np.arange(1, 101, dtype=np.float64))
-        dense = np.exp(-np.multiply.outer(0.5 + alpha + 1j * cache1000.gammas(), logn)) @ a
+        dense = np.exp(-np.multiply.outer(0.5 + alpha + 1j * cache1000.gammas, logn)) @ a
         want = float((np.abs(dense) ** 2).sum())
         assert abs(mean_square_over_zeros(cache1000, a, alpha).lhs - want) <= 1e-12 * want
 
