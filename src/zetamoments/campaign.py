@@ -19,10 +19,12 @@ import numpy as np
 from . import __version__, moments, zerosums
 from .primes import DirichletPolySpec
 from .zeros import ZeroCache, count_audit, load, sweep
-from .zetafn import CONSTANTS, NearZeroError, chi, digamma, log_deriv, zeta
+from .zetafn import (CONSTANTS, REFLECTION, NearZeroError, chi, digamma,
+                     log_deriv, zeta)
 
 _SCHEMA = "audit.v1"
 _DRIFT_TOL = 1e-9       # compare_reports flags relative differences above this
+_NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}  # to_json's strings
 
 
 class ReportSchemaError(ValueError):
@@ -167,9 +169,12 @@ def run_campaign(config: CampaignConfig) -> list[AuditOutcome]:
         pts = _kronecker(config.seeds + 1, 100)
         worst = 0.0
         bad = 0
+        used = 0
         for u, v in pts:
             s = complex(u, 10.0 + (min(config.t_max, 1000.0) - 10.0) * v)
             lhs = zeta(s)
+            if lhs.method_tag == REFLECTION:
+                continue                # zeta(s) is chi(s) zeta(1 - s) there
             c = chi(s)
             rhs = zeta(1.0 - s)
             resid = abs(lhs.value - c.value * rhs.value)
@@ -177,7 +182,8 @@ def run_campaign(config: CampaignConfig) -> list[AuditOutcome]:
                       + abs(rhs.value) * c.abs_error_estimate)
             worst = max(worst, resid / budget if budget else math.inf)
             bad += resid > budget
-        add(AuditOutcome("functional_equation_residual", worst, float(bad), 100))
+            used += 1
+        add(AuditOutcome("functional_equation_residual", worst, float(bad), used))
 
     _safe(functional_equation, "functional_equation_residual", outcomes)
 
@@ -394,12 +400,12 @@ def compare_reports(path_a, path_b) -> dict:
             rows[name] = {"status": "only_in_" + ("a" if name in by_name_a else "b")}
             flagged.append(name)
             continue
-        fa = by_name_a[name]["fitted_constant"]
-        fb = by_name_b[name]["fitted_constant"]
-        denom = max(abs(fa), abs(fb), 1e-300)
-        rel = abs(fa - fb) / denom
+        fa, fb = (_NONFINITE.get(v, v) for v in (by_name_a[name]["fitted_constant"],
+                                                 by_name_b[name]["fitted_constant"]))
+        # equal values (inf too) differ by 0; NaN on either side gives NaN
+        rel = 0.0 if fa == fb else abs(fa - fb) / max(abs(fa), abs(fb), 1e-300)
         rows[name] = {"a": fa, "b": fb, "relative_difference": rel}
-        if rel > _DRIFT_TOL:
+        if not rel <= _DRIFT_TOL:
             flagged.append(name)
     same_campaign = doc_a["campaign"] == doc_b["campaign"]
     return {

@@ -116,14 +116,13 @@ def _cmd_shifted(args) -> int:
 def _cmd_largeval(args) -> int:
     cache = _load_cache(args.cache)
     _require_nonempty(cache)
+    if not 0.0 < args.vstep < math.inf:
+        raise _ValidationExit(f"--vstep must be positive and finite (got {args.vstep})")
     if args.vmin is not None:
-        if args.vmax is None or args.vmax <= args.vmin:
-            raise _ValidationExit("--vmax must exceed --vmin")
-        grid = []
-        v = args.vmin
-        while v <= args.vmax + 1e-12:
-            grid.append(v)
-            v += args.vstep
+        if args.vmax is None or not -math.inf < args.vmin < args.vmax < math.inf:
+            raise _ValidationExit("--vmin and --vmax must be finite, --vmax above --vmin")
+        count = int((args.vmax - args.vmin + 1e-12) / args.vstep) + 1
+        grid = [args.vmin + i * args.vstep for i in range(count)]
     else:
         grid = None
     hist = moments.large_value_histogram(cache, args.k, _alpha(args), grid)
@@ -279,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmin", type=float, default=None,
                    help="lowest V of an explicit grid (default: integer grid from 3)")
     p.add_argument("--vmax", type=float, default=None, help="highest V")
-    p.add_argument("--vstep", type=float, default=1.0, help="V grid step")
+    p.add_argument("--vstep", type=float, default=1.0, help="V grid step (positive)")
     _add_common(p, cache=True, alpha=True)
     p.set_defaults(func=_cmd_largeval)
 

@@ -423,8 +423,8 @@ def continuous_moment(k: float | tuple[float, ...], t_max: float,
     for kk in ks:
         if kk <= 0:
             raise ValueError(f"k must be positive (got {kk})")
-    if step > 0.01:
-        raise ValueError(f"step must be <= 0.01 (got {step})")
+    if not 0.0 < step <= 0.01:
+        raise ValueError(f"step must be in (0, 0.01] (got {step})")
     if t_max <= 1.0:
         raise ValueError("t_max must exceed 1")
     n_iv = int(math.ceil((t_max - 1.0) / step))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,13 +26,19 @@ class SieveRangeError(ValueError):
 
 
 class SieveTable:
-    """Smallest-prime-factor table up to limit (inclusive)."""
+    """Smallest prime factor and Omega(n) for n = 0..limit.
+
+    ``smallest_prime_factor`` (int32) is 0 at n = 0 and 1; ``omega`` (int8)
+    counts prime factors with multiplicity.  Everything else reads these two
+    arrays: the primes are the n with Omega(n) = 1, and n >= 2 is a prime
+    power exactly when spf(n)^Omega(n) = n, with Lambda(n) = log spf(n).
+    """
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError(f"sieve limit must be >= 2 (got {limit})")
         self.limit = int(limit)
-        spf = np.zeros(self.limit + 1, dtype=np.int64)
+        spf = np.zeros(self.limit + 1, dtype=np.int32)
         for i in range(2, int(math.isqrt(self.limit)) + 1):
             if spf[i] == 0:
                 sl = spf[i * i:: i]
@@ -39,41 +46,66 @@ class SieveTable:
         rest = spf == 0
         rest[:2] = False
         spf[rest] = np.flatnonzero(rest)
+        cof = np.arange(self.limit + 1)
+        cof[2:] //= spf[2:]
+        omega = np.zeros(self.limit + 1, dtype=np.int8)
+        while True:                             # Omega(n) = Omega(n // spf) + 1
+            nxt = omega[cof] + 1
+            nxt[:2] = 0
+            if np.array_equal(nxt, omega):
+                break
+            omega = nxt
         self.smallest_prime_factor = spf
+        self.omega = omega
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
-        return n >= 2 and self.smallest_prime_factor[n] == n
+        return n >= 2 and bool(self.omega[n] == 1)
 
     def primes(self, upto: int | None = None) -> np.ndarray:
         hi = self.limit if upto is None else int(upto)
         self._check(hi)
-        spf = self.smallest_prime_factor[: hi + 1]
-        idx = np.arange(hi + 1)
-        return idx[(idx >= 2) & (spf == idx)]
+        return np.flatnonzero(self.omega[: max(hi + 1, 0)] == 1)
 
     def mangoldt(self, n: int) -> float:
         """Lambda(n): log p when n is a prime power p^k, else 0."""
         self._check(n)
-        if n < 2:
-            return 0.0
         p = int(self.smallest_prime_factor[n])
-        m = n
-        while m % p == 0:
-            m //= p
-        return math.log(p) if m == 1 else 0.0
+        return math.log(p) if n >= 2 and p ** int(self.omega[n]) == n else 0.0
 
     def mangoldt_table(self, upto: int) -> np.ndarray:
-        """Lambda(0..upto) as an array (Lambda(0) = Lambda(1) = 0)."""
+        """Lambda(0..upto) as an array (Lambda(0) = Lambda(1) = 0).
+
+        The logs are math.log's, as in ``mangoldt``: np.log differs from it
+        by an ulp at a few primes (the first is 285,343).
+        """
         self._check(upto)
+        spf = self.smallest_prime_factor[: upto + 1].astype(np.int64)
+        powers = np.flatnonzero(spf ** self.omega[: upto + 1] == np.arange(upto + 1))
+        powers = powers[powers >= 2]
         out = np.zeros(upto + 1)
-        for p in self.primes(upto):
-            lp = math.log(p)
-            pk = p
-            while pk <= upto:
-                out[pk] = lp
-                pk *= p
+        out[powers] = list(map(math.log, spf[powers].tolist()))
         return out
+
+    @cached_property
+    def factor_plan(self):
+        """(prime rows, [(composite rows, spf rows, cofactor rows) per level]).
+
+        k -> k^{-it} is completely multiplicative, so only the primes need an
+        exponential; a composite k is the product of the values at spf(k), its
+        smallest prime factor, and at k // spf(k), which has one prime factor
+        fewer.  The plan holds zero-based intp rows (int32 rows would make
+        numpy convert each index array on every use): the primes, and for
+        each count L >= 2 of prime factors the ascending composites with L
+        factors and their two factor rows.  Every split depends on k alone,
+        so a prefix of the plan serves any smaller n.
+        """
+        levels = []
+        for level in range(2, int(self.omega.max()) + 1):
+            comp = np.flatnonzero(self.omega == level)
+            spf = self.smallest_prime_factor[comp].astype(np.intp)
+            levels.append((comp - 1, spf - 1, comp // spf - 1))
+        return self.primes() - 1, levels
 
     def _check(self, n: int) -> None:
         if n > self.limit:
@@ -84,10 +116,16 @@ _SHARED: SieveTable | None = None
 
 
 def shared_sieve(limit: int) -> SieveTable:
-    """Process-wide sieve, regrown when a larger limit is requested."""
+    """Process-wide sieve covering at least 0..limit.
+
+    A larger limit regrows it to at least 1.5 times the old size (and at
+    least 4,096), dropping the old table before the new one is built.
+    """
     global _SHARED
     if _SHARED is None or _SHARED.limit < limit:
-        _SHARED = SieveTable(max(limit, 1 << 16))
+        old = 0 if _SHARED is None else _SHARED.limit
+        _SHARED = None                          # free the old table first
+        _SHARED = SieveTable(max(limit, int(1.5 * old), 4096))
     return _SHARED
 
 
@@ -139,9 +177,8 @@ def smoothed_sum(spec: DirichletPolySpec, s: complex) -> complex:
     t = complex(s).imag
     x = spec.x
     nmax = int(math.floor(x))
-    sieve = shared_sieve(max(nmax, 4))
-    lam_tab = sieve.mangoldt_table(nmax)
-    ns = np.flatnonzero(lam_tab[: nmax + 1])
+    lam_tab = shared_sieve(nmax).mangoldt_table(nmax)
+    ns = np.flatnonzero(lam_tab)
     logx = math.log(x)
     coeff = lam_tab[ns] / np.log(ns) * (logx - np.log(ns)) / logx
     return _poly_sum(ns, coeff, spec.sigma_lam, t)
@@ -157,8 +194,7 @@ def prime_sum(spec: DirichletPolySpec, s: complex,
     x = spec.x
     hi = x if p_hi is None else min(p_hi, x)
     nmax = int(math.floor(hi))
-    sieve = shared_sieve(max(nmax, 4))
-    ps = sieve.primes(nmax)
+    ps = shared_sieve(nmax).primes(nmax)
     ps = ps[ps > p_lo]
     logx = math.log(x)
     coeff = (logx - np.log(ps)) / logx if ps.size else np.empty(0)
@@ -175,16 +211,14 @@ def s1_s2(spec: DirichletPolySpec, gamma: float) -> tuple[complex, complex]:
     return short, tail
 
 
-def mangoldt(n: int, sieve: SieveTable | None = None) -> float:
+def mangoldt(n: int) -> float:
     """Lambda(n) via the shared sieve (grown to cover n)."""
     if n < 1:
         raise ValueError(f"mangoldt needs n >= 1 (got {n})")
-    table = sieve if sieve is not None else shared_sieve(max(n, 4))
-    return table.mangoldt(n)
+    return shared_sieve(n).mangoldt(n)
 
 
-def chebyshev_psi(x: float, sieve: SieveTable | None = None) -> float:
+def chebyshev_psi(x: float) -> float:
     """psi(x) = sum_{n<=x} Lambda(n) by direct summation."""
     nmax = int(math.floor(x))
-    table = sieve if sieve is not None else shared_sieve(max(nmax, 4))
-    return float(table.mangoldt_table(nmax).sum())
+    return float(shared_sieve(nmax).mangoldt_table(nmax).sum())

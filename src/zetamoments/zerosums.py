@@ -69,20 +69,13 @@ def mangoldt_real(x: float) -> float:
     n = round(x)
     if abs(x - n) > 0.0 or n < 2:
         return 0.0
-    sieve = shared_sieve(max(int(n), 4))
-    return sieve.mangoldt(int(n))
+    return shared_sieve(n).mangoldt(n)
 
 
 def prime_powers_upto(limit: int) -> np.ndarray:
     """Sorted prime powers p^k <= limit (k >= 1)."""
-    sieve = shared_sieve(max(limit, 8))
-    out = []
-    for p in sieve.primes(limit):
-        pk = int(p)
-        while pk <= limit:
-            out.append(pk)
-            pk *= int(p)
-    return np.array(sorted(out), dtype=np.float64)
+    lam = shared_sieve(limit).mangoldt_table(limit)
+    return np.flatnonzero(lam).astype(np.float64)
 
 
 def nearest_prime_power_distance(x: float) -> float:

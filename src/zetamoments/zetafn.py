@@ -38,9 +38,8 @@ Evaluation strategy:
 All functions assume Im s >= 0 internally and extend by conjugation, so
 ``zeta(conj(s)) == conj(zeta(s))`` holds bit-for-bit.
 
-Everything here is pure; the only module state is two lazily grown read-only
-tables: log n, and the sieve plan (the primes and, per count of prime
-factors, the composites with their splits).
+Everything here is pure; the only module state is a lazily grown read-only
+table of log n.
 """
 
 from __future__ import annotations
@@ -159,56 +158,15 @@ def _logn(limit: int) -> np.ndarray:
     return _LOGN[:limit]
 
 
-# ---------------------------------------------------------------------------
-# k^{-it} from the primes: the sieve plan, grown on demand, never shrunk.
-#
-# k -> k^{-it} is completely multiplicative, so only the primes need an
-# exponential; a composite k is the product of the values at spf(k), its
-# smallest prime factor, and at k // spf(k), which has one prime factor
-# fewer.  The plan holds zero-based rows: the primes, and for each count L
-# >= 2 of prime factors (with multiplicity) the ascending composites with L
-# factors and their two factor rows.  Every split depends on k alone, so a
-# prefix of the plan serves any smaller n.
-
-_PLAN_SIZE = 0
-_PLAN = None               # built on first use
-
-
-def _sieve_plan(limit: int):
-    """(prime rows, [(composite rows, spf rows, cofactor rows) per level])
-    covering at least 1..limit."""
-    global _PLAN, _PLAN_SIZE
-    if limit > _PLAN_SIZE:
-        from .primes import SieveTable          # primes imports this module
-        size = max(limit, int(1.5 * _PLAN_SIZE), 4096)
-        _PLAN, _PLAN_SIZE = None, 0             # free the old plan first
-        spf = SieveTable(size).smallest_prime_factor
-        spf[:2] = 1
-        cof = np.arange(size + 1)
-        cof //= spf
-        levels = np.zeros(size + 1, dtype=np.int8)
-        while True:                             # Omega(k) = Omega(k // spf) + 1
-            nxt = levels[cof] + 1
-            nxt[:2] = 0
-            if np.array_equal(nxt, levels):
-                break
-            levels = nxt
-        plan = []
-        for level in range(2, int(levels.max()) + 1):
-            comp = np.flatnonzero(levels == level)
-            plan.append((comp - 1, spf[comp] - 1, cof[comp] - 1))
-        _PLAN = (np.flatnonzero(levels == 1) - 1, plan)
-        _PLAN_SIZE = size
-    return _PLAN
-
-
 def _n_pow_it(ts: np.ndarray, n: int) -> np.ndarray:
     """k^{-i*ts} for k = 1..n as an (n, len(ts)) complex array.
 
     One exponential per prime <= n; every composite is one complex product
-    per level.  Row k-1 depends on k and ts alone, whatever n is.
+    per level, from the shared sieve's ``factor_plan``.  Row k-1 depends on
+    k and ts alone, whatever n is.
     """
-    primes, levels = _sieve_plan(n)
+    from .primes import shared_sieve            # primes imports this module
+    primes, levels = shared_sieve(n).factor_plan
     e = np.empty((n, ts.size), dtype=np.complex128)
     e[0] = 1.0
     rows = primes[: np.searchsorted(primes, n)]

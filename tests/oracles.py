@@ -122,6 +122,41 @@ def mangoldt_oracle(n: int) -> float:
     return math.log(p) if m == 1 else 0.0
 
 
+def mangoldt_table_oracle(upto: int) -> list[float]:
+    """Lambda(0..upto): math.log(p) stamped on each power of each prime p.
+
+    The prime-power loop the package's vectorized table replaced, over a
+    plain Eratosthenes sieve.
+    """
+    is_prime = bytearray([0, 0]) + bytearray([1]) * (upto - 1)
+    for d in range(2, math.isqrt(upto) + 1):
+        if is_prime[d]:
+            is_prime[d * d::d] = bytes(len(range(d * d, upto + 1, d)))
+    out = [0.0] * (upto + 1)
+    for p in range(2, upto + 1):
+        if is_prime[p]:
+            lp = math.log(p)
+            pk = p
+            while pk <= upto:
+                out[pk] = lp
+                pk *= p
+    return out
+
+
+def prime_factors_oracle(n: int) -> list[int]:
+    """Prime factors of n >= 1 with multiplicity, ascending, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def bisect_zero(z_func, lo: float, hi: float, scan_step: float = 1e-6,
                 iters: int = 80) -> float:
     """Zero of z_func in (lo, hi): fine-grid scan then pure bisection."""

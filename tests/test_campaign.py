@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from zetamoments import campaign, zeros
 from zetamoments.campaign import CampaignConfig, ReportSchemaError
-from zetamoments.zetafn import NearZeroError
+from zetamoments.zetafn import REFLECTION, NearZeroError, zeta
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,16 @@ class TestRunCampaign:
         outcomes = {o.audit_name: o for o in campaign.run_campaign(config)}
         assert outcomes["partial_fraction_reconstruction"].sample_count == 19
 
+    def test_functional_equation_skips_reflected_samples(self, default_run):
+        # zeta(s) is chi(s) zeta(1 - s) on the reflection route: residual 0
+        config, outcomes = default_run
+        pts = campaign._kronecker(config.seeds + 1, 100)
+        reflected = sum(zeta(complex(u, 10.0 + 990.0 * v)).method_tag == REFLECTION
+                        for u, v in pts)
+        assert reflected == 30
+        outcome = {o.audit_name: o for o in outcomes}["functional_equation_residual"]
+        assert outcome.sample_count == 100 - reflected
+
     def test_rerun_byte_identical(self, default_run, cache_file):
         config, outcomes = default_run
         text_a = campaign.render_report(config, outcomes)
@@ -121,6 +132,23 @@ class TestCompareReports:
         j1 = diff["audits"]["j_moment[k=1,ell=1]"]
         assert j1["relative_difference"] > 1e-9
         assert "j_moment[k=1,ell=1]" in diff["flagged"]
+
+    def test_nonfinite_fitted_constants(self, default_run, tmp_path):
+        # a failed audit records NaN, and dyadic_reconstruction can record inf
+        config, outcomes = default_run
+        odd = [replace(outcomes[0], fitted_constant=math.nan),
+               replace(outcomes[1], fitted_constant=math.inf), *outcomes[2:]]
+        finite = tmp_path / "finite.json"
+        nonfinite = tmp_path / "nonfinite.json"
+        campaign.write_report(finite, config, outcomes)
+        campaign.write_report(nonfinite, config, odd)
+        names = [o.audit_name for o in outcomes[:2]]
+        same = campaign.compare_reports(nonfinite, nonfinite)
+        assert same["flagged"] == [names[0]]
+        assert same["audits"][names[1]] == {"a": math.inf, "b": math.inf,
+                                            "relative_difference": 0.0}
+        diff = campaign.compare_reports(finite, nonfinite)
+        assert diff["flagged"] == sorted(names)
 
     def test_corrupted_file_schema_error(self, tmp_path):
         bad = tmp_path / "bad.json"

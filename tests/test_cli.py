@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -161,6 +162,13 @@ class TestMomentsCommands:
         assert rows[0]["value"] > 0.0
 
 
+    @pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+    def test_continuous_bad_step_rejected(self, step, capsys):
+        assert main(["continuous", "--k", "1", "--tmax", "200",
+                     f"--step={step}"]) == EXIT_VALIDATION
+        assert "step" in capsys.readouterr().err
+
+
 class TestLargevalCommand:
     def test_histogram_counts_nonincreasing(self, cli_cache, capsys):
         code = main(["largeval", "--cache", cli_cache, "--alpha-re", "0.001",
@@ -170,6 +178,19 @@ class TestLargevalCommand:
         rows = json.loads(capsys.readouterr().out)
         counts = [r["count"] for r in rows]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("vstep", ["0", "-0.5", "nan", "inf"])
+    def test_bad_vstep_rejected(self, cli_cache, vstep, capsys):
+        code = main(["largeval", "--cache", cli_cache, "--vmin", "0.5",
+                     "--vmax", "8", f"--vstep={vstep}"])
+        assert code == EXIT_VALIDATION
+        assert "--vstep" in capsys.readouterr().err
+
+    def test_grid_steps_from_vmin(self, cli_cache, capsys):
+        assert main(["largeval", "--cache", cli_cache, "--vmin", "3",
+                     "--vmax", "4", "--vstep", "0.1"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)
+        assert [r["V"] for r in rows] == [3.0 + i * 0.1 for i in range(11)]
 
     def test_gonek(self, cli_cache, capsys):
         assert main(["gonek", "--cache", cli_cache, "--x", "2.5"]) == EXIT_OK
@@ -192,6 +213,15 @@ class TestAuditAndDiff:
         assert main(["diff", rep_a, rep_b]) == EXIT_OK
         summary = json.loads(capsys.readouterr().out)
         assert summary["flagged"] == []
+
+    def test_diff_report_with_failed_audit(self, tmp_path, capsys):
+        config = campaign.CampaignConfig(t_max=300.0, k_list=())
+        rep = str(tmp_path / "failed.json")
+        campaign.write_report(rep, config, [
+            campaign.AuditOutcome("failed_audit", math.nan, 0.0, 0, "error: x")])
+        assert main(["diff", rep, rep]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["flagged"] == ["failed_audit"]
 
     def test_diff_corrupted_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -213,8 +213,9 @@ class TestContinuousMoment:
                         continuous_moment(2.0, 300.0, 0.01))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            continuous_moment(1.0, 1000.0, 0.02)
+        for step in (0.02, 0.0, -0.01, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                continuous_moment(1.0, 1000.0, step)
         with pytest.raises(ValueError):
             continuous_moment(0.0, 1000.0, 0.01)
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ from zetamoments import primes
 from zetamoments.primes import DirichletPolySpec, SieveTable
 from zetamoments.zetafn import CONSTANTS
 
-from .oracles import mangoldt_oracle
+from .oracles import mangoldt_oracle, mangoldt_table_oracle, prime_factors_oracle
 
 
 class TestSieve:
@@ -26,6 +26,33 @@ class TestSieve:
         sieve = SieveTable(30)
         assert list(sieve.primes()) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
+    def test_spf_and_omega_match_trial_factorization(self):
+        sieve = SieveTable(5000)
+        assert sieve.smallest_prime_factor.dtype == np.int32
+        assert sieve.omega.dtype == np.int8
+        assert sieve.smallest_prime_factor[:2].tolist() == [0, 0]
+        assert sieve.omega[:2].tolist() == [0, 0]
+        for n in range(2, 5001):
+            factors = prime_factors_oracle(n)
+            assert sieve.smallest_prime_factor[n] == factors[0]
+            assert sieve.omega[n] == len(factors)
+
+    def test_factor_plan_rebuilds_every_n(self):
+        # f(p) = p on the prime rows, then each level's composites as int64
+        # products of rows filled at lower levels
+        sieve = SieveTable(5000)
+        prime_rows, levels = sieve.factor_plan
+        f = np.zeros(sieve.limit, dtype=np.int64)
+        f[0] = 1
+        f[prime_rows] = prime_rows + 1
+        for comp, spf, cof in levels:
+            assert all(rows.dtype == np.intp for rows in (comp, spf, cof))
+            assert np.all(np.diff(comp) > 0)
+            assert np.all(f[spf] > 0) and np.all(f[cof] > 0)
+            assert not np.any(f[comp])
+            f[comp] = f[spf] * f[cof]
+        assert np.array_equal(f, np.arange(1, sieve.limit + 1))
+
 
 class TestMangoldt:
     def test_prime_power(self):
@@ -43,6 +70,18 @@ class TestMangoldt:
         table = primes.shared_sieve(4000).mangoldt_table(600)
         for n in range(1, 601):
             assert table[n] == pytest.approx(mangoldt_oracle(n), abs=1e-12)
+
+    def test_mangoldt_table_bit_identical_to_loop(self):
+        # math.log, not np.log, which is an ulp off at a few primes
+        table = primes.shared_sieve(10 ** 6).mangoldt_table(10 ** 6)
+        assert table.tobytes() == np.array(mangoldt_table_oracle(10 ** 6)).tobytes()
+
+    def test_scalar_mangoldt_matches_table(self):
+        table = primes.shared_sieve(10 ** 6).mangoldt_table(10 ** 6 - 1)
+        powers = np.flatnonzero(table)
+        assert powers.size > 78000
+        assert all(primes.mangoldt(n) == lam
+                   for n, lam in zip(powers.tolist(), table[powers].tolist()))
 
 
 class TestSmoothedSum:

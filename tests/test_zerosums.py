@@ -14,6 +14,8 @@ from zetamoments.zerosums import (
 )
 from zetamoments.zetafn import CONSTANTS, log_deriv
 
+from .oracles import mangoldt_oracle
+
 GAMMA_1 = 14.134725141734693
 
 
@@ -34,6 +36,12 @@ class TestGonek:
         assert zerosums.nearest_prime_power_distance(2.5) == 0.5
         assert zerosums.nearest_prime_power_distance(2.0) == 1.0
         assert zerosums.nearest_prime_power_distance(8.0) == 1.0
+
+    def test_prime_powers_match_oracle(self):
+        expect = [n for n in range(2, 2001) if mangoldt_oracle(n)]
+        got = zerosums.prime_powers_upto(2000)
+        assert got.dtype == np.float64
+        assert got.tolist() == expect
 
     def test_mangoldt_real(self):
         assert zerosums.mangoldt_real(2.5) == 0.0

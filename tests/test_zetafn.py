@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from zetamoments import zetafn
+from zetamoments import primes, zetafn
 from zetamoments.zetafn import (
     CONSTANTS,
     DomainError,
@@ -350,13 +350,13 @@ class TestMainSumKernel:
         assert np.all(err <= 4.0 * np.finfo(float).eps * (1.0 + phase))
 
     def test_rows_are_a_prefix(self, monkeypatch):
-        # from an empty plan: the first call builds it, the last grows it
-        monkeypatch.setattr(zetafn, "_PLAN_SIZE", 0)
-        monkeypatch.setattr(zetafn, "_PLAN", None)
+        # from a small shared sieve: the first calls outgrow it, the last
+        # grows it again
+        monkeypatch.setattr(primes, "_SHARED", primes.SieveTable(16))
         ts = np.array([14.1, 1000.5, 9876.25, 54321.0])
         small = {j: zetafn._n_pow_it(ts, j) for j in (1, 2, 17, 1000, 4096)}
         full = zetafn._n_pow_it(ts, 7000)
-        assert zetafn._PLAN_SIZE >= 7000
+        assert primes._SHARED.limit >= 7000
         for j, rows in small.items():
             assert np.array_equal(full[:j], rows)
         assert np.array_equal(full[:, 1:2], zetafn._n_pow_it(ts[1:2], 7000))
