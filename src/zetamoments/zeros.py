@@ -7,8 +7,11 @@ sign changes is searched on finer grids down to step 1e-4.  The scan runs
 on through the Turing tail past t_max, which proves the count (see
 _counted_brackets).  The brackets below t_max are refined together by false
 position (the Illinois rule) on the batched Z evaluator, then polished with
-Newton steps on the Euler-Maclaurin route so the recorded residual
-|Z(gamma)| comes from the accurate evaluator.
+Newton steps on a route whose committed error is within refine_tol/4 at the
+root, so the recorded residual |Z(gamma)| is within refine_tol/4 of the
+true one: Riemann-Siegel from about t = 1,650 at the default refine_tol (a
+root whose Illinois value already meets the target is kept as it is), and
+Euler-Maclaurin below.
 
 Zeros are found by sign change, so only zeros of odd order on the line show;
 the Turing count proves that every zero up to g_n is one of them.  An
@@ -44,8 +47,9 @@ _SWEEP_START = 10.0     # theta domain floor; first zero is above 14
 _ROOT_XTOL = 1e-12      # a bracket is refined below xtol + rtol*|t|: the
 _ROOT_RTOL = 8.9e-16    # stopping rule and defaults of SciPy's Brent solver
 _ROOT_MAXITER = 100
-# validate accepts residuals up to max(refine_tol, this floor): the polish
-# cannot push |Z(gamma)| below the evaluator's noise, ~3e-10 near t = 1e5
+# validate accepts residuals up to max(refine_tol, this floor): a double
+# ordinate resolves a zero only to half an ulp, which leaves |Z(gamma)| up to
+# |Z'(gamma)| ulp(gamma)/2, 3e-10 near t = 1e5
 _RESIDUAL_FLOOR = 1e-9
 
 
@@ -279,8 +283,9 @@ def _counted_brackets(t_max: float) -> np.ndarray:
     return brackets[np.argsort(brackets[:, 0])]
 
 
-def _illinois_roots(brackets) -> np.ndarray:
-    """Roots of Z in every sign-change bracket, all brackets advanced together.
+def _illinois_roots(brackets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of Z in every sign-change bracket, all brackets advanced
+    together, with hardy_z_grid's Z at each root and its committed error.
 
     False position with the Illinois rule (M. Dowell and P. Jarratt, BIT 11
     (1971) 168-174): b is the newest point and a the end kept from before;
@@ -293,33 +298,57 @@ def _illinois_roots(brackets) -> np.ndarray:
     a, b = np.array(brackets, dtype=np.float64).reshape(-1, 2).T
     f, _ = hardy_z_grid(np.column_stack((a, b)).ravel())
     fa, fb = f[0::2], f[1::2]
-    root = np.empty(a.size)
+    root, z, err = np.empty(a.size), np.empty(a.size), np.empty(a.size)
     idx = np.arange(a.size)
     for _ in range(_ROOT_MAXITER):
         c = np.clip(b - fb * (b - a) / (fb - fa), np.minimum(a, b), np.maximum(a, b))
-        fc, _ = hardy_z_grid(c)
-        root[idx] = c
+        fc, ec = hardy_z_grid(c)
+        root[idx], z[idx], err[idx] = c, fc, ec
         flip = fc * fb < 0.0
         a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
         b, fb = c, fc
         go = (fc != 0.0) & (np.abs(b - a) >= _ROOT_XTOL + _ROOT_RTOL * np.abs(b))
         idx, a, b, fa, fb = idx[go], a[go], b[go], fa[go], fb[go]
         if idx.size == 0:
-            return root
+            return root, z, err
     raise RuntimeError(f"false position did not converge in {_ROOT_MAXITER} "
                        f"iterations near t = {b[0]}")
 
 
-def _polish(roots: np.ndarray, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Newton steps on the Euler-Maclaurin route until |Z| <= tol/4."""
-    g = np.array(roots, dtype=np.float64)
-    z, dz = zetafn.em_z_with_deriv(g)
+def _z_with_deriv(ts: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, dZ/dt) at ts: Riemann-Siegel where rs is set, Euler-Maclaurin elsewhere."""
+    z, dz = np.empty(ts.size), np.empty(ts.size)
+    for mask, route in ((rs, zetafn.rs_z_with_deriv), (~rs, zetafn.em_z_with_deriv)):
+        if mask.any():
+            z[mask], dz[mask] = route(ts[mask])
+    return z, dz
+
+
+def _polish(roots: np.ndarray, z: np.ndarray, err: np.ndarray,
+            refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Batched Newton steps until |Z| <= refine_tol/4, each root on a route
+    whose committed error meets that target there.
+
+    z and err are hardy_z_grid's value and committed error at the roots,
+    from the Riemann-Siegel route at t >= 200.  Where that err is within the
+    target, a root whose |z| is too is final as it stands, and the others
+    step on the same route (rs_z_with_deriv).  Every other root steps on the
+    Euler-Maclaurin route (em_z_with_deriv): below t = 200, and below the
+    crossover near t = 1,650 at the default refine_tol, where the Riemann-
+    Siegel remainder bound is the larger.
+    """
+    target = 0.25 * refine_tol
+    g, z = np.array(roots, dtype=np.float64), np.array(z, dtype=np.float64)
+    rs = (err <= target) & (g >= zetafn._RS_CUTOVER)
+    dz = np.zeros(g.size)
+    todo = np.flatnonzero(~rs | (np.abs(z) > target))
+    z[todo], dz[todo] = _z_with_deriv(g[todo], rs[todo])
     for _ in range(3):
-        active = np.flatnonzero((np.abs(z) > 0.25 * refine_tol) & (dz != 0.0))
+        active = np.flatnonzero((np.abs(z) > target) & (dz != 0.0))
         if active.size == 0:
             break
         cand = g[active] - z[active] / dz[active]
-        z2, dz2 = zetafn.em_z_with_deriv(cand)
+        z2, dz2 = _z_with_deriv(cand, rs[active])
         better = np.abs(z2) < np.abs(z[active])
         idx = active[better]
         g[idx] = cand[better]
@@ -336,16 +365,20 @@ def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
     t_max down to 10.5 is accepted (an empty result below the first zero is
     legitimate); the supported ceiling is 1e5.  Raises UnresolvedBlockError
     for a Rosser block short of zeros, and RefinementShortfallError when the
-    polish leaves a residual above refine_tol: the Euler-Maclaurin noise floor
-    rises with t, so small tolerances at large heights can be out of reach.
+    polish leaves a residual above refine_tol.  Two floors can put a small
+    tolerance out of reach.  Below the Riemann-Siegel crossover the polish
+    runs on Euler-Maclaurin, whose rounding noise grows with t (1e-12 fails
+    near t = 2,000).  And a double ordinate resolves a zero only to half an
+    ulp: |Z(gamma)| can stay at |Z'(gamma)| ulp(gamma)/2, up to 3e-10 near
+    t = 1e5, so the default sweep(1e5) raises for 2,237 of its 138,069 zeros.
     """
     if not (10.5 <= t_max <= 1e5):
         raise DomainError(f"t_max must lie in [10.5, 1e5] (got {t_max})")
     if not 1e-12 <= refine_tol < math.inf:
         raise DomainError(f"refine_tol must be finite and >= 1e-12 (got {refine_tol})")
     brackets = _counted_brackets(t_max)
-    roots = _illinois_roots(brackets[brackets[:, 0] <= t_max])
-    gammas, residuals = _polish(roots, refine_tol)
+    gammas, residuals = _polish(*_illinois_roots(brackets[brackets[:, 0] <= t_max]),
+                                refine_tol)
     kept = gammas <= t_max
     cache = ZeroCache(t_max, gammas[kept], residuals[kept], refine_tol)
     short = int((cache.residuals > refine_tol).sum())

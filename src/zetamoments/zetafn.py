@@ -17,10 +17,17 @@ Evaluation strategy:
 * ``hardy_z`` is ``hardy_z_grid`` at one point.  Below t = 200 the grid
   rotates the Euler-Maclaurin value of zeta (one routine, ``_em_z``, which
   also gives the polish its dZ/dt); from t = 200 up it takes the
-  Riemann-Siegel main sum with four correction terms C0..C3.
+  Riemann-Siegel main sum with five correction terms C0..C4 and commits
+  W. Gabcke's bound 0.017 t^(-11/4) on the remainder plus the rounding.
+  Its phases theta(t) - t log k are compensated: theta's growing part at
+  the anchor t0, the multiple of 16 below t, and t0 log k are formed in
+  double-double and reduced mod 2 pi; only the small rest, d log k with
+  d = t - t0 and theta(t) less that growth, is formed in double.
+  ``rs_z_with_deriv`` is the same route with dZ/dt, for the polish.
   The correction functions are built from an exact power series for
   psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), an entire function, so
-  its high-order derivatives are evaluated stably.
+  its derivatives up to the twelfth are evaluated stably; each C_r is even
+  or odd in p - 1/2, a series in (p - 1/2)^2.
 * ``theta`` is the asymptotic phase with four reciprocal correction terms,
   valid for t >= 10.
 * ``log_gamma`` uses upward recurrence into |s| >= 32 followed by the
@@ -39,7 +46,7 @@ All functions assume Im s >= 0 internally and extend by conjugation, so
 ``zeta(conj(s)) == conj(zeta(s))`` holds bit-for-bit.
 
 Everything here is pure; the only module state is a lazily grown read-only
-table of log n.
+table of log n, and a fixed one of log k as double-doubles.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -84,7 +92,6 @@ _EM_COEFF, _EM_NEXT_COEFF = _em_coefficients()
 _EM_SHIFTS = np.arange(2 * _EM_TERMS + 1, dtype=np.float64)[:, None]  # j in s + j
 _EM_ODD = _EM_SHIFTS[1::2]                                             # 2r - 1
 _RS_CUTOVER = 200.0     # hardy_z switches to Riemann-Siegel above this t
-_RS_ERR_CONST = 0.02    # remainder after C3, times (t/2pi)^(-9/4); audited
 _POLE_RADIUS = 1e-10
 
 
@@ -477,13 +484,17 @@ class ZeroShiftEvaluator:
 _THETA_C = (1.0 / 48.0, 7.0 / 5760.0, 31.0 / 80640.0, 127.0 / 430080.0)
 
 
+def _theta_tail(t):
+    """The reciprocal corrections of theta: 1/(48 t) + 7/(5760 t^3) + ..."""
+    inv2 = 1.0 / (t * t)
+    return _THETA_C[0] / t * (1.0 + inv2 * (_THETA_C[1] / _THETA_C[0]
+                              + inv2 * (_THETA_C[2] / _THETA_C[0]
+                              + inv2 * _THETA_C[3] / _THETA_C[0])))
+
+
 def _theta_raw(t):
     lt = np.log(t / TWO_PI)
-    inv2 = 1.0 / (t * t)
-    corr = _THETA_C[0] / t * (1.0 + inv2 * (_THETA_C[1] / _THETA_C[0]
-                 + inv2 * (_THETA_C[2] / _THETA_C[0]
-                 + inv2 * _THETA_C[3] / _THETA_C[0])))
-    return 0.5 * t * lt - 0.5 * t - math.pi / 8.0 + corr
+    return 0.5 * t * lt - 0.5 * t - math.pi / 8.0 + _theta_tail(t)
 
 
 def _theta_deriv_raw(t):
@@ -508,6 +519,116 @@ def theta_deriv(t: float) -> float:
     return float(_theta_deriv_raw(float(t)))
 
 
+# --- double-double phases ----------------------------------------------------
+#
+# A double-double is an unevaluated sum hi + lo of two doubles, |lo| at most
+# half an ulp of hi (T. J. Dekker, "A floating-point technique for extending
+# the available precision", Numer. Math. 18 (1971) 224-242).  Near t = 1e5 the
+# Riemann-Siegel phases theta(t) - t log k reach 1e6: in double they carry
+# about 1e-10 of rounding into the reduction mod 2 pi, in double-double 1e-15.
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and s + e = a + b exactly."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _split(a):
+    """Veltkamp's split: a = hi + lo exactly, each half within 26 bits."""
+    c = 134217729.0 * a                     # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_prod(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product)."""
+    p = a * b
+    ah, al = _split(a)
+    bh, bl = _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_constants():
+    """2 pi, log(2 pi) + 1 and log(i/32) for i = 16..32 as (hi, lo) pairs, and
+    log 2 as A + B with A on 42 bits, so that e A is exact for any binary
+    exponent e; all from 40-digit decimal arithmetic."""
+    def pair(x):
+        hi = float(x)
+        return hi, float(x - Decimal(hi))
+
+    with localcontext() as ctx:
+        ctx.prec = 40
+        two_pi = 2 * Decimal("3.1415926535897932384626433832795028841971693993751")
+        ln2 = Decimal(2).ln()
+        ln2_a = math.ldexp(math.floor(math.ldexp(float(ln2), 42)), -42)
+        log_c = np.array([pair(Decimal(i).ln() - 5 * ln2) for i in range(16, 33)])
+        return (pair(two_pi), pair(two_pi.ln() + 1), (ln2_a, float(ln2 - Decimal(ln2_a))),
+                (log_c[:, 0].copy(), log_c[:, 1].copy()))
+
+
+(_TWO_PI_HI, _TWO_PI_LO), (_LOG_2PI_E_HI, _LOG_2PI_E_LO), (_LN2_A, _LN2_B), \
+    (_LOG_C_HI, _LOG_C_LO) = _dd_constants()
+
+
+def _log_dd(x):
+    """log x as a double-double (hi, lo), for an array of doubles x >= 1.
+
+    x = m 2^e with 1/2 <= m < 1, and c = i/32 is the nearest such fraction to
+    m.  log(m/c) = 2 atanh(u) with u = (m - c)/(m + c) and |u| <= 1/64: u in
+    double-double, its odd powers u^3..u^13 in double (the next is below
+    1e-28).  m - c is exact, and so is e A.
+    """
+    m, e = np.frexp(x)
+    i = np.rint(32.0 * m)
+    row = i.astype(np.intp) - 16
+    v = m - i / 32.0
+    w = i / 16.0 + v                        # m + c, and its rounding error
+    w_lo = v - (w - i / 16.0)
+    u = v / w
+    p, pe = _two_prod(u, w)
+    u_lo = ((v - p) - pe - u * w_lo) / w
+    u2 = u * u
+    odd = u * u2 * (2.0 / 3.0 + u2 * (2.0 / 5.0 + u2 * (2.0 / 7.0 + u2 * (
+        2.0 / 9.0 + u2 * (2.0 / 11.0 + u2 * (2.0 / 13.0))))))
+    hi, lo = _two_sum(e * _LN2_A, _LOG_C_HI[row])
+    hi, lo2 = _two_sum(hi, 2.0 * u)
+    lo = lo + lo2 + (e * _LN2_B + _LOG_C_LO[row] + 2.0 * u_lo + odd)
+    s = hi + lo
+    return s, lo - (s - hi)
+
+
+def _mod_2pi(hi, lo):
+    """The double-double hi + lo >= 0 less its nearest multiple of 2 pi, as a
+    double in [-pi, pi]: hi - q (2 pi)_hi is exact, and the rest is small."""
+    q = np.rint(hi * (1.0 / TWO_PI))
+    a, b = _two_prod(q, _TWO_PI_HI)
+    return ((hi - a) - b) + (lo - q * _TWO_PI_LO)
+
+
+def _theta_growth_mod_2pi(ts, l_hi, l_lo):
+    """(t/2)(log(t/2pi) - 1) mod 2 pi, the part of theta(t) that grows, for
+    an array of t >= 18 with log t given as the double-double (l_hi, l_lo);
+    theta adds -pi/8 and the reciprocal corrections."""
+    b_hi, b_lo = _two_sum(l_hi, -_LOG_2PI_E_HI)
+    half = 0.5 * ts
+    p, e = _two_prod(half, b_hi)
+    e += half * (b_lo + (l_lo - _LOG_2PI_E_LO))
+    return _mod_2pi(p, e)
+
+
+# log k for the main sums up to t = 2 pi 256^2 = 4.1e5
+_LOGK_DD = _log_dd(np.arange(1.0, 257.0))
+
+
+def _logk_dd(n: int):
+    """(hi, lo) of log k for k = 1..n."""
+    if n > _LOGK_DD[0].size:
+        return _log_dd(np.arange(1.0, n + 1.0))
+    return _LOGK_DD[0][:n], _LOGK_DD[1][:n]
+
+
 # --- Riemann-Siegel correction machinery -----------------------------------
 #
 # psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p) is entire: every zero of
@@ -516,9 +637,9 @@ def theta_deriv(t: float) -> float:
 # coefficients about u = 0 are recovered from function values on the circle
 # |u| = 1 by FFT (the circle stays away from the denominator zeros, so each
 # sample is computed stably; the coefficients inherit ~1e-13 absolute
-# accuracy, ample for derivatives up to order nine on |u| <= 1/2).
+# accuracy, ample for derivatives up to order twelve on |u| <= 1/2).
 
-_PSI_DEGREE = 40    # Horner degree of C0..C3; each row's dropped tail is <= 1e-16
+_PSI_DEGREE = 40    # degree in u of C0..C4; each row's dropped tail is <= 1e-16
 
 
 def _psi_series() -> np.ndarray:
@@ -526,7 +647,7 @@ def _psi_series() -> np.ndarray:
     u = np.exp(2j * math.pi * np.arange(m_fft) / m_fft)
     f = np.cos(TWO_PI * (u * u - 5.0 / 16.0)) / (-np.cos(TWO_PI * u))
     coeff = np.fft.fft(f) / m_fft
-    return coeff[: _PSI_DEGREE + 10].real      # C3 needs up to psi^(9)
+    return coeff[: _PSI_DEGREE + 13].real      # C4 needs up to psi^(12)
 
 
 _PSI_B = _psi_series()
@@ -545,49 +666,150 @@ _PI2 = math.pi * math.pi
 
 
 def _correction_coeff_table() -> np.ndarray:
-    """Rows: u-power-series coefficients of C0..C3, to degree _PSI_DEGREE."""
+    """C0..C4 and their u-derivatives as power series in v = u^2, to degree
+    _PSI_DEGREE in u: an array of shape (2, 5, _PSI_DEGREE // 2 + 1).
+
+    C_r is even in u for even r and odd for odd r (psi is even in u), so
+    row r of the first table holds C_r / u^(r % 2), and row r of the second
+    C_r' / u^((r + 1) % 2).
+    """
     d = _psi_deriv_coeffs
-    c0 = d(0)
-    c1 = -d(3) / (96.0 * _PI2)
-    c2 = d(2) / (64.0 * _PI2) + d(6) / (18432.0 * _PI2 * _PI2)
-    c3 = (-d(1) / (64.0 * _PI2) - d(5) / (3840.0 * _PI2 * _PI2)
-          - d(9) / (5308416.0 * _PI2 * _PI2 * _PI2))
-    return np.vstack([c0, c1, c2, c3])
+    rows = np.vstack([
+        d(0),
+        -d(3) / (96.0 * _PI2),
+        d(2) / (64.0 * _PI2) + d(6) / (18432.0 * _PI2 ** 2),
+        -d(1) / (64.0 * _PI2) - d(5) / (3840.0 * _PI2 ** 2) - d(9) / (5308416.0 * _PI2 ** 3),
+        (d(0) / (128.0 * _PI2) + 19.0 * d(4) / (24576.0 * _PI2 ** 2)
+         + 11.0 * d(8) / (5898240.0 * _PI2 ** 3) + d(12) / (2038431744.0 * _PI2 ** 4)),
+    ])
+    slopes = np.zeros_like(rows)
+    slopes[:, :-1] = rows[:, 1:] * np.arange(1.0, _PSI_DEGREE + 1.0)
+    table = np.zeros((2, 5, _PSI_DEGREE // 2 + 1))
+    for r in range(5):
+        for half, series in zip(table, (rows[r, r % 2::2], slopes[r, (r + 1) % 2::2])):
+            half[r, :series.size] = series
+    return table
 
 
 _C_TABLE = _correction_coeff_table()
+_RS_GABCKE = 0.017  # |remainder after C4| <= this * t^(-11/4) for t >= 200
 
 
-def _rs_correction(p, eta):
-    """C0 + C1*eta + C2*eta^2 + C3*eta^3 with eta = (t/2pi)^(-1/2)."""
+def _rs_correction(p, max_order: int):
+    """C0..C4 at p, the rows of a (5, len(p)) array, and for max_order 1
+    (else None) their p-derivatives: Horner's rule in v = (p - 1/2)^2 on all
+    five rows at once."""
     u = np.asarray(p, dtype=np.float64) - 0.5
-    c0, c1, c2, c3 = _C_TABLE
-    acc = np.zeros_like(u)
-    for m in range(_PSI_DEGREE, -1, -1):
-        acc = acc * u + (c0[m] + eta * (c1[m] + eta * (c2[m] + eta * c3[m])))
-    return acc
+    v = u * u
+
+    def horner(table, odd_rows):
+        acc = np.repeat(table[:, -1:], u.size, axis=1)
+        for column in table.T[-2::-1]:
+            acc *= v
+            acc += column[:, None]
+        acc[odd_rows] *= u
+        return acc
+
+    rows = horner(_C_TABLE[0], slice(1, None, 2))
+    return rows, horner(_C_TABLE[1], slice(0, None, 2)) if max_order else None
 
 
-def _rs_z_batch(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Riemann-Siegel Z on a batch of heights sharing one main-sum length."""
+_RS_ANCHOR = 16.0   # t = t0 + d, t0 a multiple of this: d log k < 16 log n
+# heights per pass: the correction rows and the phases of a block stay in a
+# 2 MB L2 cache (13.5 against 24 ms for the rows at 180,000 heights at once)
+_RS_BLOCK = 8192
+_RS_ORDERS = np.arange(5)[:, None] + 0.5    # C_r is weighed by eta^(r + 1/2)
+
+
+def _rs_z(ts: np.ndarray, max_order: int):
+    """Riemann-Siegel Z on ascending heights t >= _RS_CUTOVER, its committed
+    error, and (for max_order 1, else None) dZ/dt.  With tau = sqrt(t/2pi),
+    eta = 1/tau and n = floor(tau),
+
+        Z = 2 sum_{k <= n} k^{-1/2} cos(theta(t) - t log k)
+            + (-1)^(n-1) sum_{r <= 4} C_r(tau - n) eta^(r + 1/2).
+
+    Each height has an anchor t0, the multiple of _RS_ANCHOR below it, and
+    d = t - t0.  With G(t) = (t/2)(log(t/2pi) - 1), the part of theta that
+    grows, the phase is A(t0, k) + (theta(t) - G(t0)) - d log k: A(t0, k) =
+    G(t0) - t0 log k mod 2 pi comes from double-double values, and the rest,
+    of size up to d log(t/2pi), is formed in double.
+    Heights go in blocks of _RS_BLOCK, the main sums in runs of one n.
+
+    The committed error is W. Gabcke's bound 0.017 t^(-11/4) on the remainder
+    after C4 (Neue Herleitung und explizite Restabschaetzung der
+    Riemann-Siegel-Formel, thesis, Goettingen 1979; t >= 200) plus the
+    rounding: per phase, two reductions mod 2 pi and the roundings of
+    quantities up to d (log(t/2pi) + log n); then the cosines and sums, and
+    1e-15 eta^(1/2) for the corrections.
+    """
+    z, err = np.empty(ts.size), np.empty(ts.size)
+    dz = np.empty(ts.size) if max_order else None
+    for start in range(0, ts.size, _RS_BLOCK):
+        sl = slice(start, start + _RS_BLOCK)
+        z[sl], err[sl], slope = _rs_block(ts[sl], max_order)
+        if max_order:
+            dz[sl] = slope
+    return z, err, dz
+
+
+def _rs_block(ts: np.ndarray, max_order: int):
+    """_rs_z on one block of ascending heights."""
     tau = np.sqrt(ts / TWO_PI)
-    n = int(math.floor(tau[0]))
-    p = tau - n
-    logn = _logn(n)
-    amp = 1.0 / np.sqrt(np.arange(1, n + 1))
-    th = _theta_raw(ts)
-    phases = th[:, None] - np.multiply.outer(ts, logn)
-    # einsum, not a BLAS product: a value must not depend on len(ts)
-    main = 2.0 * np.einsum("ik,k->i", np.cos(phases), amp)
     eta = 1.0 / tau
-    corr = ((-1.0) ** (n - 1)) * np.sqrt(eta) * _rs_correction(p, eta)
-    amp_sum = float(amp.sum())
-    # correlated phase noise: an eps-level absolute error in theta or t*log n
-    # shifts every cosine argument together
-    phase_scale = np.abs(th) + ts * logn[-1]
-    err = (_RS_ERR_CONST * eta ** 4.5
-           + 2.2e-16 * (2.0 * amp_sum) * phase_scale + 4e-16 * amp_sum)
-    return main + corr, err
+    lengths = np.floor(tau)
+    t0 = _RS_ANCHOR * np.floor(ts / _RS_ANCHOR)
+    d = ts - t0
+    new = np.concatenate(([True], t0[1:] != t0[:-1]))
+    anchors, which = t0[new], np.cumsum(new) - 1
+    l_hi, l_lo = _log_dd(anchors)
+    log0 = (l_hi - _LOG_2PI_E_HI) + (l_lo - _LOG_2PI_E_LO)      # log(t0/2pi) - 1
+    growth0 = _theta_growth_mod_2pi(anchors, l_hi, l_lo)
+    # theta(t) less the growth at t0: (d/2)(log(t0/2pi) - 1) + (t/2) log(1 + d/t0)
+    # - pi/8 + the reciprocal corrections
+    shift = (0.5 * d * log0[which] + 0.5 * ts * np.log1p(d / t0)
+             + (_theta_tail(ts) - math.pi / 8.0))
+    log_hi, log_lo = _logk_dd(int(lengths.max(initial=1.0)))
+
+    rows, slopes = _rs_correction(tau - lengths, max_order)
+    root = np.where(lengths % 2.0, 1.0, -1.0) * np.sqrt(eta)       # (-1)^(n-1) eta^(1/2)
+
+    def in_eta(r):
+        """sum_j r[j] eta^j, by Horner's rule."""
+        return r[0] + eta * (r[1] + eta * (r[2] + eta * (r[3] + eta * r[4])))
+
+    z = root * in_eta(rows)
+    # per phase: two reductions, and roundings of quantities up to
+    # d (log(t/2pi) + log n) <= 3 d log tau, counted one and a half times
+    phase_err = 4.0 * math.pi + d * (4.5 * np.log(tau) + 1.0)
+    err = _RS_GABCKE * ts ** -2.75 + 1e-15 * np.sqrt(eta)
+    dz = None
+    if max_order:
+        # d tau/dt = eta/(4 pi), and d eta^a/dt = -a eta^(a+2)/(4 pi)
+        dz = eta / (4.0 * math.pi) * root * (in_eta(slopes) - eta * in_eta(_RS_ORDERS * rows))
+        dtheta = _theta_deriv_raw(ts)
+    for start, stop in _runs(lengths):
+        sl = slice(start, stop)
+        n = int(lengths[start])
+        hi, lo = log_hi[:n], log_lo[:n]
+        amp = 1.0 / np.sqrt(np.arange(1.0, n + 1.0))
+        first, last = which[start], which[stop - 1] + 1
+        p, e = _two_prod(anchors[first:last, None], hi)
+        table = _mod_2pi(p, e + np.multiply.outer(anchors[first:last], lo))
+        np.subtract(growth0[first:last, None], table, out=table)
+        phase = table[which[sl] - first]
+        phase += shift[sl, None]
+        phase -= np.multiply.outer(d[sl], hi)
+        sines = np.sin(phase) if max_order else None
+        np.cos(phase, out=phase)
+        # einsum, not a BLAS product: a value must not depend on len(ts)
+        z[sl] += 2.0 * np.einsum("ik,k->i", phase, amp)
+        amp_sum = float(amp.sum())
+        err[sl] += 2.2e-16 * (2.0 * amp_sum) * phase_err[sl] + 4e-16 * amp_sum
+        if max_order:
+            dz[sl] -= 2.0 * (dtheta[sl] * np.einsum("ik,k->i", sines, amp)
+                             - np.einsum("ik,k->i", sines, amp * hi))
+    return z, err, dz
 
 
 def _em_z(ts: np.ndarray, max_order: int):
@@ -620,7 +842,7 @@ def hardy_z_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ts = np.asarray(ts, dtype=np.float64)
     if ts.size and ts[0] < 10.0:
         raise DomainError("hardy_z requires t >= 10")
-    # the EM/RS split and the RS segments both read the grid as sorted
+    # the EM/RS split and the Riemann-Siegel anchors read the grid as sorted
     if not np.all(np.diff(ts) >= 0.0):
         raise DomainError("hardy_z_grid needs ascending heights")
     out = np.empty(ts.size)
@@ -628,10 +850,8 @@ def hardy_z_grid(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_lo = int(np.searchsorted(ts, _RS_CUTOVER))
     if n_lo:
         out[:n_lo], err[:n_lo], _ = _em_z(ts[:n_lo], 0)
-    # Riemann-Siegel in runs of one main-sum length floor(sqrt(t/2pi))
-    for start, stop in _runs(np.floor(np.sqrt(ts[n_lo:] / TWO_PI))):
-        sl = slice(n_lo + start, n_lo + stop)
-        out[sl], err[sl] = _rs_z_batch(ts[sl])
+    if n_lo < ts.size:
+        out[n_lo:], err[n_lo:], _ = _rs_z(ts[n_lo:], 0)
     return out, err
 
 
@@ -648,8 +868,19 @@ def hardy_z(t: float) -> EvalResult:
 
 def em_z_with_deriv(ts: np.ndarray):
     """(Z, dZ/dt) on the Euler-Maclaurin route for an array of heights;
-    used by the sweep's batched Newton polish."""
+    the sweep's Newton polish takes it below the Riemann-Siegel crossover."""
     z, _, dz = _em_z(np.asarray(ts, dtype=np.float64), 1)
+    return z, dz
+
+
+def rs_z_with_deriv(ts: np.ndarray):
+    """(Z, dZ/dt) on hardy_z_grid's Riemann-Siegel route for an array of
+    heights t >= 200; the sweep's Newton polish takes it wherever that
+    route's committed error meets the polish's target."""
+    ts = np.asarray(ts, dtype=np.float64)
+    if not (np.all(ts >= _RS_CUTOVER) and np.all(np.diff(ts) >= 0.0)):
+        raise DomainError(f"rs_z_with_deriv needs ascending heights >= {_RS_CUTOVER:g}")
+    z, _, dz = _rs_z(ts, 1)
     return z, dz
 
 

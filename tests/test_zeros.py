@@ -139,13 +139,58 @@ class TestIllinoisRoots:
         edges = np.concatenate(([zeros._SWEEP_START], zeros._gram_points_upto(1000.0)))
         _, brackets, _ = zeros._scan(edges)
         assert brackets[0][1] < zetafn._RS_CUTOVER < brackets[-1][0]
-        roots = zeros._illinois_roots(brackets)
+        roots, z, err = zeros._illinois_roots(brackets)
         assert roots.size == len(brackets)
+        # the values at the roots are hardy_z_grid's, for the polish to reuse
+        assert np.array_equal(np.r_[z, err], np.concatenate(hardy_z_grid(roots)))
         for (lo, hi), root in zip(brackets, roots):
             ref = brentq(lambda t: hardy_z(t).value.real, lo, hi,
                          xtol=1e-12, rtol=8.9e-16)
             assert lo <= root <= hi
             assert abs(root - ref) <= 1e-11
+
+
+class TestPolish:
+    def test_routes_split_at_the_crossover(self, monkeypatch):
+        # at the default refine_tol the Riemann-Siegel route's committed
+        # error meets refine_tol/4 from t near 1,650 up: the polish takes
+        # Euler-Maclaurin below that height and Riemann-Siegel above it
+        heights = {"em_z_with_deriv": [], "rs_z_with_deriv": []}
+
+        def recorded(name):
+            real = getattr(zetafn, name)
+
+            def route(ts):
+                heights[name].append(np.array(ts))
+                return real(ts)
+            return route
+
+        for name in heights:
+            monkeypatch.setattr(zetafn, name, recorded(name))
+        cache = zeros.sweep(3000.0)
+        em, rs = (np.concatenate(heights[name] + [np.empty(0)]) for name in heights)
+        assert em.size and em.max() < 1650.0
+        assert np.all(rs > 1600.0)
+        # a root whose Illinois value met the target took no evaluation
+        assert rs.size < np.count_nonzero(cache.gammas > 1650.0)
+        assert cache.residuals.max() <= 1e-10
+
+    def test_near_1e5_every_zero_meets_refine_tol_or_has_its_nearest_double(self):
+        # Gram blocks 137899-138099 (t near 1e5) at the default refine_tol.
+        # A double ordinate resolves a zero only to half an ulp, 7.3e-12
+        # here, and |Z'| reaches 40: where the polish leaves |Z| above 1e-10
+        # (8 of 200 zeros), neither neighbouring double does better.  The
+        # Euler-Maclaurin polish left 30 above 1e-10, the largest 3.1e-10.
+        edges = zeros._gram_points(np.arange(137899, 138100))
+        _, brackets, _ = zeros._scan(edges)
+        assert len(brackets) == 200
+        gammas, residuals = zeros._polish(*zeros._illinois_roots(brackets), 1e-10)
+        above = residuals > 1e-10
+        assert np.count_nonzero(above) < 20
+        _, err = hardy_z_grid(gammas[above])
+        for step in (-1.0, 1.0):
+            z, e = hardy_z_grid(gammas[above] + step * np.spacing(gammas[above]))
+            assert np.all(np.abs(z) + e + err >= residuals[above])
 
 
 class TestCountAudit:

@@ -208,17 +208,82 @@ class TestHardyZ:
             assert (r.value, r.abs_error_estimate) == (z, e)
 
     def test_correction_series_degree_drops_nothing(self, monkeypatch):
-        # C0..C3 at the shipped Horner degree against the same series carried
-        # to degree 72, on the whole interval |u| <= 1/2, for eta = (t/2pi)^(-1/2)
-        # from the Riemann-Siegel route's floor t = 4 pi upward
+        # C0..C4, row by row, at the shipped degree against the same series
+        # carried to degree 72, on the whole interval |u| <= 1/2; their
+        # p-derivatives, which only steer the polish's Newton steps, to 1e-13
         p = np.linspace(0.0, 1.0, 2001)
-        etas = (2.0 ** -0.5, 0.3, 0.177, 0.05, 0.01)
-        shipped = [zetafn._rs_correction(p, eta) for eta in etas]
+        shipped = zetafn._rs_correction(p, 1)
         monkeypatch.setattr(zetafn, "_PSI_DEGREE", 72)
         monkeypatch.setattr(zetafn, "_PSI_B", zetafn._psi_series())
         monkeypatch.setattr(zetafn, "_C_TABLE", zetafn._correction_coeff_table())
-        for eta, got in zip(etas, shipped):
-            assert np.abs(zetafn._rs_correction(p, eta) - got).max() <= 1e-15
+        for got, full, tol in zip(shipped, zetafn._rs_correction(p, 1), (1e-15, 1e-13)):
+            assert got.shape == full.shape == (5, p.size)
+            assert np.all(np.abs(got - full).max(axis=1) <= tol)
+
+    def test_riemann_siegel_oracle_at_300_heights(self):
+        # seeded heights log-uniform on [200, 1e5]: Gabcke's bound on the
+        # remainder after C4 dominates the committed error up to t ~ 1e4,
+        # the rounding of the compensated phases above
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(19)
+        ts = np.sort(np.exp(rng.uniform(math.log(200.0), math.log(1e5), 300)))
+        z, err = zetafn.hardy_z_grid(ts)
+        with mpmath.workdps(25):
+            truth = np.array([float(mpmath.siegelz(float(t))) for t in ts])
+        assert np.all(np.abs(z - truth) <= err)
+
+    @pytest.mark.parametrize("t", [2e3, 1e4, 1e5])
+    def test_riemann_siegel_error_meets_the_polish_target(self, t):
+        # refine_tol/4 at the default refine_tol, across one anchor step
+        ts = np.linspace(t, t + zetafn._RS_ANCHOR, 65)
+        assert zetafn.hardy_z(t).abs_error_estimate <= 2.5e-11
+        assert zetafn.hardy_z_grid(ts)[1].max() <= 2.5e-11
+
+    def test_rs_z_with_deriv_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(20)
+        ts = np.sort(np.exp(rng.uniform(math.log(200.0), math.log(1e5), 24)))
+        z, dz = zetafn.rs_z_with_deriv(ts)
+        assert np.array_equal(z, zetafn.hardy_z_grid(ts)[0])
+        with mpmath.workdps(25):
+            for t, slope in zip(ts, dz):
+                truth = float(mpmath.siegelz(float(t), derivative=1))
+                assert abs(slope - truth) <= 1e-9 * max(1.0, abs(truth)), t
+
+    def test_rs_z_with_deriv_domain(self):
+        for ts in ([150.0, 300.0], [400.0, 300.0]):
+            with pytest.raises(DomainError):
+                zetafn.rs_z_with_deriv(np.array(ts))
+
+
+class TestDoubleDouble:
+    """The compensated phases of the Riemann-Siegel route."""
+
+    def test_log_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(21)
+        xs = np.r_[np.arange(1.0, 300.0), np.exp(rng.uniform(0.0, math.log(1e9), 300))]
+        hi, lo = zetafn._log_dd(xs)
+        with mpmath.workdps(40):
+            for x, h, l in zip(xs, hi, lo):
+                exact = mpmath.log(mpmath.mpf(float(x)))
+                assert abs(mpmath.mpf(float(h)) + float(l) - exact) <= 1e-21 * max(1.0, exact), x
+        assert np.all(np.abs(lo) <= 0.5 * np.spacing(np.maximum(hi, 1e-300)))
+
+    def test_theta_growth_mod_2pi_against_mpmath(self):
+        # (t/2)(log(t/2pi) - 1) reaches 4.8e5 at t = 1e5; reduced mod 2 pi
+        # it keeps 1e-15
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(22)
+        ts = np.exp(rng.uniform(math.log(200.0), math.log(1e6), 200))
+        got = zetafn._theta_growth_mod_2pi(ts, *zetafn._log_dd(ts))
+        with mpmath.workdps(40):
+            for t, g in zip(ts, got):
+                t = mpmath.mpf(float(t))
+                exact = t / 2 * (mpmath.log(t / (2 * mpmath.pi)) - 1)
+                diff = g - exact
+                assert abs(diff - 2 * mpmath.pi * mpmath.nint(diff / (2 * mpmath.pi))) <= 1e-15
+                assert abs(g) <= math.pi * (1.0 + 1e-15)
 
 
 class TestChi:
@@ -417,8 +482,9 @@ class TestMainSumKernel:
             assert sl.stop - sl.start <= 128 and set(n[sl].tolist()) == {m}
 
     def test_high_heights_within_committed_error_of_mpmath(self):
-        # heights in [1e4, 1e5] take main sums up to 32,768 terms, whose
-        # composites carry up to 14 prime factors
+        # heights in [1e4, 1e5] take main sums up to N = 32,768, which is
+        # ceil(1e5/pi) = 31,831 rounded up to m 2^e; their composites carry
+        # up to 14 prime factors
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(63)
         ts = np.sort(np.exp(rng.uniform(math.log(1e4), math.log(1e5), 6)))
