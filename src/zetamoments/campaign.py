@@ -377,13 +377,22 @@ def write_report(path, config: CampaignConfig, outcomes: list[AuditOutcome]) -> 
 
 
 def load_report(path) -> dict:
+    """A report with the fields compare_reports reads, or ReportSchemaError."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ReportSchemaError(f"cannot read report {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema") != _SCHEMA:
+    if not isinstance(doc, dict):
+        raise ReportSchemaError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    if doc.get("schema") != _SCHEMA:
         raise ReportSchemaError(
             f"{path}: expected schema {_SCHEMA}, got {doc.get('schema')!r}")
+    outcomes = doc.get("outcomes")
+    if "campaign" not in doc or not isinstance(outcomes, list) or not all(
+            isinstance(o, dict) and {"audit_name", "fitted_constant"} <= o.keys()
+            for o in outcomes):
+        raise ReportSchemaError(f"{path}: expected a campaign and a list of outcomes, "
+                                "each with audit_name and fitted_constant")
     return doc
 
 

@@ -171,7 +171,8 @@ def values_at_zeros(cache: ZeroCache, alpha: complex = 0.0,
 
 
 def _check_shift(t_max: float, alpha: complex) -> None:
-    if abs(alpha) > 1.0 or abs(alpha.real) > 1.0 / math.log(t_max) + 1e-15:
+    # written so that a NaN part fails the test
+    if not (abs(alpha) <= 1.0 and abs(alpha.real) <= 1.0 / math.log(t_max) + 1e-15):
         raise ValueError(f"alpha = {alpha} outside |alpha|<=1, |Re alpha|<=1/log T")
 
 

@@ -5,13 +5,11 @@ grid per 256 intervals, and brackets its sign changes.  The same samples
 mark the good Gram points, which bound the Rosser blocks; a block short of
 sign changes is searched on finer grids down to step 1e-4.  The scan runs
 on through the Turing tail past t_max, which proves the count (see
-_counted_brackets).  The brackets below t_max are refined together by false
-position (the Illinois rule) on the batched Z evaluator, then polished with
-Newton steps on a route whose committed error is within refine_tol/4 at the
-root, so the recorded residual |Z(gamma)| is within refine_tol/4 of the
-true one: Riemann-Siegel from about t = 1,650 at the default refine_tol (a
-root whose Illinois value already meets the target is kept as it is), and
-Euler-Maclaurin below.
+_counted_brackets).  The brackets below t_max are refined together by
+Newton steps kept inside them (see _refine), each bracket on one route whose
+committed error is within refine_tol/4, so the recorded residual |Z(gamma)|
+is within refine_tol/4 of the true one: Riemann-Siegel from about t = 1,650
+at the default refine_tol, and Euler-Maclaurin below.
 
 Zeros are found by sign change, so only zeros of odd order on the line show;
 the Turing count proves that every zero up to g_n is one of them.  An
@@ -44,8 +42,6 @@ _SCAN_STEP = 0.05
 _LADDER = (0.01, 2e-3, 5e-4, 1e-4)
 _WINDOW = 256          # Gram intervals per scan grid
 _SWEEP_START = 10.0     # theta domain floor; first zero is above 14
-_ROOT_XTOL = 1e-12      # a bracket is refined below xtol + rtol*|t|: the
-_ROOT_RTOL = 8.9e-16    # stopping rule and defaults of SciPy's Brent solver
 _ROOT_MAXITER = 100
 # validate accepts residuals up to max(refine_tol, this floor): a double
 # ordinate resolves a zero only to half an ulp, which leaves |Z(gamma)| up to
@@ -77,7 +73,7 @@ class UnresolvedBlockError(RuntimeError):
 
 
 class RefinementShortfallError(RuntimeError):
-    """Newton polish left residuals |Z(gamma)| above the requested refine_tol."""
+    """Refinement left residuals |Z(gamma)| above the requested refine_tol."""
 
     def __init__(self, count: int, worst: float, gamma: float, refine_tol: float):
         self.count, self.worst, self.gamma = count, worst, gamma
@@ -104,7 +100,7 @@ def _read_only(values) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ZeroCache:
     """Ordered zeros with 0 < gamma <= t_max, their residuals |Z(gamma)| and
-    the tolerance the polish aimed at.
+    the tolerance the refinement aimed at.
 
     gammas and residuals are read-only float64 copies of what was passed in.
     Two caches are equal when t_max and both arrays are.
@@ -283,80 +279,48 @@ def _counted_brackets(t_max: float) -> np.ndarray:
     return brackets[np.argsort(brackets[:, 0])]
 
 
-def _illinois_roots(brackets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of Z in every sign-change bracket, all brackets advanced
-    together, with hardy_z_grid's Z at each root and its committed error.
+def _refine(brackets, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Root of Z in every sign-change bracket and its residual |Z|, all
+    brackets advanced together by Newton steps.
 
-    False position with the Illinois rule (M. Dowell and P. Jarratt, BIT 11
-    (1971) 168-174): b is the newest point and a the end kept from before;
-    when a is kept again its Z value is halved, so both ends close in.  Each
-    iteration is one hardy_z_grid call at the new point of every unconverged
-    bracket; the brackets are disjoint and ascending, so those points are
-    ascending too.  A bracket stops when Z vanishes at b or |b - a| falls
-    below _ROOT_XTOL + _ROOT_RTOL*|b|; its root is b.
-    """
-    a, b = np.array(brackets, dtype=np.float64).reshape(-1, 2).T
-    f, _ = hardy_z_grid(np.column_stack((a, b)).ravel())
-    fa, fb = f[0::2], f[1::2]
-    root, z, err = np.empty(a.size), np.empty(a.size), np.empty(a.size)
-    idx = np.arange(a.size)
-    for _ in range(_ROOT_MAXITER):
-        c = np.clip(b - fb * (b - a) / (fb - fa), np.minimum(a, b), np.maximum(a, b))
-        fc, ec = hardy_z_grid(c)
-        root[idx], z[idx], err[idx] = c, fc, ec
-        flip = fc * fb < 0.0
-        a, fa = np.where(flip, b, a), np.where(flip, fb, 0.5 * fa)
-        b, fb = c, fc
-        go = (fc != 0.0) & (np.abs(b - a) >= _ROOT_XTOL + _ROOT_RTOL * np.abs(b))
-        idx, a, b, fa, fb = idx[go], a[go], b[go], fa[go], fb[go]
-        if idx.size == 0:
-            return root, z, err
-    raise RuntimeError(f"false position did not converge in {_ROOT_MAXITER} "
-                       f"iterations near t = {b[0]}")
-
-
-def _z_with_deriv(ts: np.ndarray, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Z, dZ/dt) at ts: Riemann-Siegel where rs is set, Euler-Maclaurin elsewhere."""
-    z, dz = np.empty(ts.size), np.empty(ts.size)
-    for mask, route in ((rs, zetafn.rs_z_with_deriv), (~rs, zetafn.em_z_with_deriv)):
-        if mask.any():
-            z[mask], dz[mask] = route(ts[mask])
-    return z, dz
-
-
-def _polish(roots: np.ndarray, z: np.ndarray, err: np.ndarray,
-            refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Batched Newton steps until |Z| <= refine_tol/4, each root on a route
-    whose committed error meets that target there.
-
-    z and err are hardy_z_grid's value and committed error at the roots,
-    from the Riemann-Siegel route at t >= 200.  Where that err is within the
-    target, a root whose |z| is too is final as it stands, and the others
-    step on the same route (rs_z_with_deriv).  Every other root steps on the
-    Euler-Maclaurin route (em_z_with_deriv): below t = 200, and below the
-    crossover near t = 1,650 at the default refine_tol, where the Riemann-
-    Siegel remainder bound is the larger.
+    Each bracket takes one route, read from hardy_z_grid's committed error
+    at its two ends: Riemann-Siegel (rs_z_with_deriv) where both are within
+    the target refine_tol/4 and t >= 200, from about t = 1,650 at the
+    default refine_tol; Euler-Maclaurin (em_z_with_deriv) elsewhere.  The
+    first point is the false-position point of the ends.  Each value moves
+    the end of its sign, and a Newton step that leaves the closed bracket
+    becomes the midpoint.  The brackets are disjoint and ascending, so each
+    route's points are ascending too.  A bracket stops when |Z| <= the
+    target, or when its next point is one of its ends: a double splits it
+    no further.  Its root is the point with the smallest |Z| on its route.
     """
     target = 0.25 * refine_tol
-    g, z = np.array(roots, dtype=np.float64), np.array(z, dtype=np.float64)
-    rs = (err <= target) & (g >= zetafn._RS_CUTOVER)
-    dz = np.zeros(g.size)
-    todo = np.flatnonzero(~rs | (np.abs(z) > target))
-    z[todo], dz[todo] = _z_with_deriv(g[todo], rs[todo])
-    for _ in range(3):
-        active = np.flatnonzero((np.abs(z) > target) & (dz != 0.0))
-        if active.size == 0:
-            break
-        cand = g[active] - z[active] / dz[active]
-        z2, dz2 = _z_with_deriv(cand, rs[active])
-        better = np.abs(z2) < np.abs(z[active])
-        idx = active[better]
-        g[idx] = cand[better]
-        z[idx] = z2[better]
-        dz[idx] = dz2[better]
-        if not better.any():
-            break
-    return g, np.abs(z)
+    a, b = np.array(brackets, dtype=np.float64).reshape(-1, 2).T
+    f, err = hardy_z_grid(np.column_stack((a, b)).ravel())
+    fa, fb = f[0::2], f[1::2]
+    rs = (np.maximum(err[0::2], err[1::2]) <= target) & (a >= zetafn._RS_CUTOVER)
+    root, residual = np.empty(a.size), np.full(a.size, math.inf)
+    idx = np.arange(a.size)
+    x = b - fb * (b - a) / (fb - fa)
+    for _ in range(_ROOT_MAXITER):
+        if idx.size == 0:
+            return root, residual
+        z, dz = np.empty(idx.size), np.empty(idx.size)
+        for mask, route in ((rs[idx], zetafn.rs_z_with_deriv),
+                            (~rs[idx], zetafn.em_z_with_deriv)):
+            if mask.any():
+                z[mask], dz[mask] = route(x[mask])
+        better = np.abs(z) < residual[idx]
+        root[idx[better]], residual[idx[better]] = x[better], np.abs(z[better])
+        low = np.sign(z) == np.sign(fa)
+        a, fa = np.where(low, x, a), np.where(low, z, fa)
+        b = np.where(low, b, x)
+        step = x - z / dz
+        x = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+        go = (np.abs(z) > target) & (x != a) & (x != b)
+        idx, a, b, fa, x = idx[go], a[go], b[go], fa[go], x[go]
+    raise RuntimeError(f"Newton steps did not converge in {_ROOT_MAXITER} "
+                       f"iterations near t = {x[0]}")
 
 
 def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
@@ -365,10 +329,10 @@ def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
     t_max down to 10.5 is accepted (an empty result below the first zero is
     legitimate); the supported ceiling is 1e5.  Raises UnresolvedBlockError
     for a Rosser block short of zeros, and RefinementShortfallError when the
-    polish leaves a residual above refine_tol.  Two floors can put a small
-    tolerance out of reach.  Below the Riemann-Siegel crossover the polish
-    runs on Euler-Maclaurin, whose rounding noise grows with t (1e-12 fails
-    near t = 2,000).  And a double ordinate resolves a zero only to half an
+    Newton steps leave a residual above refine_tol.  Two floors can put a
+    small tolerance out of reach.  Below the Riemann-Siegel crossover the
+    steps run on Euler-Maclaurin, whose rounding noise grows with t (1e-12
+    fails near t = 2,000).  And a double ordinate resolves a zero only to half an
     ulp: |Z(gamma)| can stay at |Z'(gamma)| ulp(gamma)/2, up to 3e-10 near
     t = 1e5, so the default sweep(1e5) raises for 2,237 of its 138,069 zeros.
     """
@@ -377,8 +341,7 @@ def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
     if not 1e-12 <= refine_tol < math.inf:
         raise DomainError(f"refine_tol must be finite and >= 1e-12 (got {refine_tol})")
     brackets = _counted_brackets(t_max)
-    gammas, residuals = _polish(*_illinois_roots(brackets[brackets[:, 0] <= t_max]),
-                                refine_tol)
+    gammas, residuals = _refine(brackets[brackets[:, 0] <= t_max], refine_tol)
     kept = gammas <= t_max
     cache = ZeroCache(t_max, gammas[kept], residuals[kept], refine_tol)
     short = int((cache.residuals > refine_tol).sum())
@@ -455,10 +418,13 @@ def load(path) -> ZeroCache:
     header = lines[0].split()
     if len(header) != 5 or header[0] != "zcache" or header[1] != "v1":
         raise CacheFormatError(f"unrecognized header: {lines[0]!r}")
-    fields = dict(kv.split("=", 1) for kv in header[2:])
-    t_max = float(fields["tmax"])
-    n = int(fields["n"])
-    tol = float(fields["tol"])
+    fields = dict(kv.partition("=")[::2] for kv in header[2:])
+    if sorted(fields) != ["n", "tmax", "tol"]:
+        raise CacheFormatError(f"header needs tmax=, n= and tol= once each: {lines[0]!r}")
+    try:
+        t_max, n, tol = float(fields["tmax"]), int(fields["n"]), float(fields["tol"])
+    except ValueError:
+        raise CacheFormatError(f"unreadable number in header: {lines[0]!r}") from None
     if not (math.isfinite(t_max) and math.isfinite(tol)):
         raise CacheFormatError(f"non-finite tmax or tol in header: {lines[0]!r}")
     rows = lines[1:-1]

@@ -121,8 +121,8 @@ def mean_square_over_zeros(cache: ZeroCache, coeffs, alpha: complex) -> MeanSqua
     a = np.asarray(coeffs, dtype=np.complex128)
     xi = a.size
     t_max = cache.t_max
-    if alpha.real < 0.0:
-        raise PreconditionError(f"Re alpha must be >= 0 (got {alpha.real})")
+    if not (alpha.real >= 0.0 and math.isfinite(abs(alpha))):
+        raise PreconditionError(f"alpha must be finite with Re alpha >= 0 (got {alpha})")
     if not (3 <= xi <= t_max / math.log(t_max)):
         raise PreconditionError(
             f"xi = {xi} outside [3, T/log T] = [3, {t_max / math.log(t_max):.1f}]")

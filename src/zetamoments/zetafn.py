@@ -16,14 +16,14 @@ Evaluation strategy:
   bit for bit and does not depend on the other heights in the batch.
 * ``hardy_z`` is ``hardy_z_grid`` at one point.  Below t = 200 the grid
   rotates the Euler-Maclaurin value of zeta (one routine, ``_em_z``, which
-  also gives the polish its dZ/dt); from t = 200 up it takes the
-  Riemann-Siegel main sum with five correction terms C0..C4 and commits
+  also gives the sweep's Newton steps their dZ/dt); from t = 200 up it takes
+  the Riemann-Siegel main sum with five correction terms C0..C4 and commits
   W. Gabcke's bound 0.017 t^(-11/4) on the remainder plus the rounding.
   Its phases theta(t) - t log k are compensated: theta's growing part at
   the anchor t0, the multiple of 16 below t, and t0 log k are formed in
   double-double and reduced mod 2 pi; only the small rest, d log k with
   d = t - t0 and theta(t) less that growth, is formed in double.
-  ``rs_z_with_deriv`` is the same route with dZ/dt, for the polish.
+  ``rs_z_with_deriv`` is the same route with dZ/dt, for the sweep.
   The correction functions are built from an exact power series for
   psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), an entire function, so
   its derivatives up to the twelfth are evaluated stably; each C_r is even
@@ -400,9 +400,11 @@ def zeta_at_heights(gammas: np.ndarray, alpha: complex = 0.0,
     """
     gammas = np.asarray(gammas, dtype=np.float64)
     sigma = 0.5 + complex(alpha).real
+    ts = gammas + complex(alpha).imag
+    if not (math.isfinite(sigma) and np.all(np.isfinite(ts))):
+        raise DomainError(f"non-finite shifted abscissa or ordinate (alpha = {alpha})")
     if sigma < 0.25:
         raise DomainError(f"shifted abscissa {sigma} too far left for the fast path")
-    ts = gammas + complex(alpha).imag
     if np.any(ts < 0):
         raise DomainError("negative shifted ordinate in fast path")
     values = np.empty(gammas.size, dtype=np.complex128)
@@ -868,15 +870,15 @@ def hardy_z(t: float) -> EvalResult:
 
 def em_z_with_deriv(ts: np.ndarray):
     """(Z, dZ/dt) on the Euler-Maclaurin route for an array of heights;
-    the sweep's Newton polish takes it below the Riemann-Siegel crossover."""
+    the sweep's Newton steps take it below the Riemann-Siegel crossover."""
     z, _, dz = _em_z(np.asarray(ts, dtype=np.float64), 1)
     return z, dz
 
 
 def rs_z_with_deriv(ts: np.ndarray):
     """(Z, dZ/dt) on hardy_z_grid's Riemann-Siegel route for an array of
-    heights t >= 200; the sweep's Newton polish takes it wherever that
-    route's committed error meets the polish's target."""
+    heights t >= 200; the sweep's Newton steps take it wherever that
+    route's committed error meets their target."""
     ts = np.asarray(ts, dtype=np.float64)
     if not (np.all(ts >= _RS_CUTOVER) and np.all(np.diff(ts) >= 0.0)):
         raise DomainError(f"rs_z_with_deriv needs ascending heights >= {_RS_CUTOVER:g}")

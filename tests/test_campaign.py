@@ -162,6 +162,18 @@ class TestCompareReports:
         with pytest.raises(ReportSchemaError):
             campaign.compare_reports(doc, doc)
 
+    @pytest.mark.parametrize("text", [
+        '[{"schema": "audit.v1"}]',
+        '{"schema": "audit.v1", "campaign": {}}',
+        '{"schema": "audit.v1", "outcomes": []}',
+        '{"schema": "audit.v1", "campaign": {}, "outcomes": [{"audit_name": "a"}]}',
+    ])
+    def test_malformed_report_rejected(self, tmp_path, text):
+        doc = tmp_path / "malformed.json"
+        doc.write_text(text)
+        with pytest.raises(ReportSchemaError):
+            campaign.compare_reports(doc, doc)
+
 
 class TestSerialization:
     def test_float_17_digits(self):

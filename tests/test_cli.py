@@ -93,6 +93,22 @@ class TestValidationErrors:
         assert out.exists()
         assert calls == [cli_cache]
 
+    @pytest.mark.parametrize("flag", ["--alpha-re", "--alpha-im"])
+    @pytest.mark.parametrize("command", [["shifted", "--k", "1"], ["meansquare", "--x", "5"]])
+    def test_non_finite_shift(self, command, flag, cli_cache, capsys):
+        code = main(command + ["--cache", cli_cache, flag, "nan"])
+        assert code == EXIT_VALIDATION
+        assert "alpha" in capsys.readouterr().err
+
+    def test_cache_header_without_tmax(self, tmp_path, capsys):
+        path = tmp_path / "notmax.csv"
+        body = "zcache v1 n=0 tol=1e-10 t=50.0\n"
+        digest = hashlib.sha256(body.encode()).hexdigest()
+        path.write_text(body + f"#sha256={digest}\n")
+        code = main(["moments", "--cache", str(path), "--k", "1", "--ell", "1"])
+        assert code == EXIT_VALIDATION
+        assert "header" in capsys.readouterr().err
+
     def test_threads_flag_removed(self, tmp_path, capsys):
         assert main(["sweep", "--tmax", "30", "--cache", str(tmp_path / "z.csv"),
                      "--threads", "2"]) == EXIT_VALIDATION
@@ -227,6 +243,13 @@ class TestAuditAndDiff:
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")
         assert main(["diff", str(bad), str(bad)]) == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("text", ['[]', '{"schema": "audit.v1", "campaign": {}}'])
+    def test_diff_malformed_report(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main(["diff", str(bad), str(bad)]) == EXIT_VALIDATION
+        assert "bad.json" in capsys.readouterr().err
 
 
 class TestHelp:

@@ -73,6 +73,13 @@ class TestShiftedMoment:
         with pytest.raises(ValueError):
             shifted_moment(cache1000, 1.0, complex(0.0, 1.5))
 
+    @pytest.mark.parametrize("alpha", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_non_finite_shift_rejected(self, cache1000, alpha):
+        with pytest.raises(ValueError, match="outside"):
+            shifted_moment(cache1000, 1.0, alpha)
+        with pytest.raises(zetafn.DomainError, match="non-finite"):
+            zetafn.zeta_at_heights(cache1000.gammas, alpha)
+
 
 class TestLargeValueHistogram:
     def test_counts_nonincreasing(self, cache1000):

@@ -2,9 +2,9 @@ import cmath
 import hashlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from zetamoments import zeros, zetafn
 from zetamoments.zetafn import hardy_z, hardy_z_grid, theta, zeta
@@ -52,8 +52,8 @@ class TestSweep:
                 zeros.sweep(100.0, refine_tol=tol)
 
     def test_refinement_shortfall_raises(self):
-        # near t = 2000 three Newton steps on the EM route cannot reach 1e-12
-        # everywhere: 56 residuals stay above it, the largest 3.2e-12
+        # near t = 2000 the EM route's rounding noise keeps 44 residuals
+        # above 1e-12, the largest 2.4e-12
         with pytest.raises(zeros.RefinementShortfallError) as info:
             zeros.sweep(2000.0, refine_tol=1e-12)
         err = info.value
@@ -132,28 +132,31 @@ class TestRosserBlocks:
         assert searched == []
 
 
-class TestIllinoisRoots:
-    def test_matches_brentq_on_public_hardy_z(self):
-        # brentq on the scalar evaluator is the reference; the T = 1e3 brackets
-        # cover both the Euler-Maclaurin (t < 200) and Riemann-Siegel routes
-        edges = np.concatenate(([zeros._SWEEP_START], zeros._gram_points_upto(1000.0)))
-        _, brackets, _ = zeros._scan(edges)
-        assert brackets[0][1] < zetafn._RS_CUTOVER < brackets[-1][0]
-        roots, z, err = zeros._illinois_roots(brackets)
+class TestRefine:
+    def test_roots_lie_in_their_brackets_and_match_zetazero(self):
+        # the brackets to T = 3000 take both routes: Euler-Maclaurin below
+        # the crossover near t = 1,650, Riemann-Siegel above it; mpmath's
+        # zetazero is the reference at seeded zeros on either side
+        brackets = zeros._counted_brackets(3000.0)
+        brackets = brackets[brackets[:, 0] <= 3000.0]
+        roots, residuals = zeros._refine(brackets, 1e-10)
         assert roots.size == len(brackets)
-        # the values at the roots are hardy_z_grid's, for the polish to reuse
-        assert np.array_equal(np.r_[z, err], np.concatenate(hardy_z_grid(roots)))
-        for (lo, hi), root in zip(brackets, roots):
-            ref = brentq(lambda t: hardy_z(t).value.real, lo, hi,
-                         xtol=1e-12, rtol=8.9e-16)
-            assert lo <= root <= hi
-            assert abs(root - ref) <= 1e-11
+        assert np.all((brackets[:, 0] <= roots) & (roots <= brackets[:, 1]))
+        assert residuals.max() <= 2.5e-11
+        rng = np.random.default_rng(16)
+        sample = []
+        for lo, hi, k in ((0.0, 200.0, 2), (200.0, 1650.0, 3), (1650.0, 3000.0, 3)):
+            inside = np.flatnonzero((lo <= roots) & (roots < hi))
+            sample += rng.choice(inside, k, replace=False).tolist()
+        for i in sample:
+            ref = float(mpmath.zetazero(i + 1).imag)
+            assert abs(roots[i] - ref) <= 1e-10
 
 
 class TestPolish:
     def test_routes_split_at_the_crossover(self, monkeypatch):
         # at the default refine_tol the Riemann-Siegel route's committed
-        # error meets refine_tol/4 from t near 1,650 up: the polish takes
+        # error meets refine_tol/4 from t near 1,650 up: the Newton steps take
         # Euler-Maclaurin below that height and Riemann-Siegel above it
         heights = {"em_z_with_deriv": [], "rs_z_with_deriv": []}
 
@@ -171,20 +174,18 @@ class TestPolish:
         em, rs = (np.concatenate(heights[name] + [np.empty(0)]) for name in heights)
         assert em.size and em.max() < 1650.0
         assert np.all(rs > 1600.0)
-        # a root whose Illinois value met the target took no evaluation
-        assert rs.size < np.count_nonzero(cache.gammas > 1650.0)
         assert cache.residuals.max() <= 1e-10
 
     def test_near_1e5_every_zero_meets_refine_tol_or_has_its_nearest_double(self):
         # Gram blocks 137899-138099 (t near 1e5) at the default refine_tol.
         # A double ordinate resolves a zero only to half an ulp, 7.3e-12
-        # here, and |Z'| reaches 40: where the polish leaves |Z| above 1e-10
+        # here, and |Z'| reaches 40: where _refine leaves |Z| above 1e-10
         # (8 of 200 zeros), neither neighbouring double does better.  The
-        # Euler-Maclaurin polish left 30 above 1e-10, the largest 3.1e-10.
+        # Euler-Maclaurin route left 30 above 1e-10, the largest 3.1e-10.
         edges = zeros._gram_points(np.arange(137899, 138100))
         _, brackets, _ = zeros._scan(edges)
         assert len(brackets) == 200
-        gammas, residuals = zeros._polish(*zeros._illinois_roots(brackets), 1e-10)
+        gammas, residuals = zeros._refine(brackets, 1e-10)
         above = residuals > 1e-10
         assert np.count_nonzero(above) < 20
         _, err = hardy_z_grid(gammas[above])
@@ -340,6 +341,18 @@ class TestPersistence:
         path = tmp_path / "nantmax.csv"
         self._write(path, "zcache v1 tmax=nan n=0 tol=1e-10\n")
         with pytest.raises(zeros.CacheFormatError, match="non-finite"):
+            zeros.load(path)
+
+    @pytest.mark.parametrize("header", [
+        "zcache v1 n=0 tol=1e-10 t=50.0",         # no tmax
+        "zcache v1 tmax=50.0 n=0 n=0",            # n twice, no tol
+        "zcache v1 tmax=50.0 n0 tol=1e-10",       # a token without '='
+        "zcache v1 tmax=fifty n=0 tol=1e-10",     # not a number
+    ])
+    def test_malformed_header_rejected(self, header, tmp_path):
+        path = tmp_path / "header.csv"
+        self._write(path, header + "\n")
+        with pytest.raises(zeros.CacheFormatError, match="header"):
             zeros.load(path)
 
     def test_gammas_built_once_read_only(self, cache1000):

@@ -92,6 +92,9 @@ class TestMeanSquare:
     def test_preconditions(self, cache1000):
         with pytest.raises(PreconditionError):
             mean_square_over_zeros(cache1000, np.ones(10), complex(-0.1, 0.0))
+        for alpha in (complex(math.nan, 0.0), complex(0.0, math.nan), complex(0.0, math.inf)):
+            with pytest.raises(PreconditionError, match="finite"):
+                mean_square_over_zeros(cache1000, np.ones(10), alpha)
         with pytest.raises(PreconditionError):
             mean_square_over_zeros(cache1000, np.ones(2), 0.0)
         with pytest.raises(PreconditionError):
