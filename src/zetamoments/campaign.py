@@ -19,8 +19,8 @@ import numpy as np
 from . import __version__, moments, zerosums
 from .primes import DirichletPolySpec
 from .zeros import ZeroCache, count_audit, load, sweep
-from .zetafn import (CONSTANTS, REFLECTION, NearZeroError, chi, digamma,
-                     log_deriv, zeta)
+from .zetafn import (CONSTANTS, REFLECTION, DomainError, NearZeroError, chi,
+                     digamma, log_deriv, zeta)
 
 _SCHEMA = "audit.v1"
 _DRIFT_TOL = 1e-9       # compare_reports flags relative differences above this
@@ -107,6 +107,10 @@ def _safe(fn, name: str, outcomes: list[AuditOutcome]) -> None:
 
 def run_campaign(config: CampaignConfig) -> list[AuditOutcome]:
     """Run every audit of the default campaign; deterministic given config."""
+    if not 10.5 <= config.t_max <= 1e5:
+        raise DomainError(f"t_max must lie in [10.5, 1e5] (got {config.t_max})")
+    if not all(0.0 < k < math.inf for k in config.k_list):
+        raise ValueError(f"every k must be positive and finite (got {config.k_list})")
     cache = _ensure_cache(config)
     outcomes: list[AuditOutcome] = []
     add = outcomes.append

@@ -155,6 +155,8 @@ def _cmd_gonek(args) -> int:
 def _cmd_meansquare(args) -> int:
     cache = _load_cache(args.cache)
     _require_nonempty(cache)
+    if not math.isfinite(args.x):
+        raise _ValidationExit(f"--x must be finite (got {args.x})")
     xi = int(args.x)
     rep = zerosums.mean_square_over_zeros(cache, [1.0] * xi, _alpha(args))
     _emit_rows([{

@@ -180,23 +180,27 @@ def _check_shift(t_max: float, alpha: complex) -> None:
 # moments
 
 
-def compute_Jk(cache: ZeroCache, k: float, ell: int) -> MomentReport:
-    """J-type moment: (1/N) sum |zeta^(ell)(rho)|^{2k} and its (log T) ratio."""
+def _moment(cache: ZeroCache, k: float, ell: int, alpha: complex) -> MomentReport:
+    """(1/N) sum |zeta^(ell)(rho + alpha)|^{2k} against (log T)^{k(k + 2 ell)}."""
     if len(cache) == 0:
         raise ValueError("empty cache")
-    if k <= 0:
-        raise ValueError(f"k must be positive (got {k})")
-    if ell not in (0, 1, 2):
-        raise ValueError(f"ell must be 0, 1 or 2 (got {ell})")
-    vals = values_at_zeros(cache, 0.0, ell)
+    if not 0.0 < k < math.inf:
+        raise ValueError(f"k must be positive and finite (got {k})")
+    vals = values_at_zeros(cache, alpha, ell)
     raw = float(np.sum(np.abs(vals) ** (2.0 * k)))
     n = len(cache)
     exponent = k * (k + 2 * ell)
-    log_t = math.log(cache.t_max)
-    return MomentReport(k=k, ell=ell, alpha=0.0, t_max=cache.t_max,
+    return MomentReport(k=k, ell=ell, alpha=alpha, t_max=cache.t_max,
                         raw_sum=raw, normalized=raw / n,
                         conjectured_exponent=exponent,
-                        ratio_to_conjecture=(raw / n) / log_t ** exponent)
+                        ratio_to_conjecture=(raw / n) / math.log(cache.t_max) ** exponent)
+
+
+def compute_Jk(cache: ZeroCache, k: float, ell: int) -> MomentReport:
+    """J-type moment: (1/N) sum |zeta^(ell)(rho)|^{2k} and its (log T) ratio."""
+    if ell not in (0, 1, 2):
+        raise ValueError(f"ell must be 0, 1 or 2 (got {ell})")
+    return _moment(cache, k, ell, 0.0)
 
 
 def shifted_moment(cache: ZeroCache, k: float, alpha: complex) -> MomentReport:
@@ -205,21 +209,9 @@ def shifted_moment(cache: ZeroCache, k: float, alpha: complex) -> MomentReport:
     Requires |alpha| <= 1 and |Re alpha| <= 1/log T (the two-sided range the
     underlying argument actually uses).
     """
-    if len(cache) == 0:
-        raise ValueError("empty cache")
-    if k <= 0:
-        raise ValueError(f"k must be positive (got {k})")
     alpha = complex(alpha)
     _check_shift(cache.t_max, alpha)
-    log_t = math.log(cache.t_max)
-    vals = values_at_zeros(cache, alpha, 0)
-    raw = float(np.sum(np.abs(vals) ** (2.0 * k)))
-    n = len(cache)
-    exponent = k * k
-    return MomentReport(k=k, ell=0, alpha=alpha, t_max=cache.t_max,
-                        raw_sum=raw, normalized=raw / n,
-                        conjectured_exponent=exponent,
-                        ratio_to_conjecture=(raw / n) / log_t ** exponent)
+    return _moment(cache, k, 0, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +265,8 @@ def large_value_histogram(cache: ZeroCache, k_hint: float, alpha: complex,
         raise ValueError("empty cache")
     if cache.t_max < 100.0:
         raise DomainError("large-value parameterization needs t_max >= 100")
+    if not math.isfinite(k_hint):
+        raise ValueError(f"k_hint must be finite (got {k_hint})")
     alpha = complex(alpha)
     _check_shift(cache.t_max, alpha)
     with np.errstate(divide="ignore"):
@@ -356,56 +350,47 @@ def dyadic_reconstruction(histogram: LargeValueHistogram, k: float) -> float:
 # Cauchy transfer
 
 
-def _disk_samples(radius: float, n_samples: int) -> list[complex]:
-    """Boundary circle plus four interior rings (max-modulus is sampled,
-    not assumed: the summed modulus powers need not peak on the boundary)."""
-    out = [radius * complex(math.cos(2.0 * math.pi * j / n_samples),
-                            math.sin(2.0 * math.pi * j / n_samples))
-           for j in range(n_samples)]
-    ring_n = max(8, n_samples // 4)
-    for m in range(1, 5):
-        r = radius * m / 5.0
-        out.extend(r * complex(math.cos(2.0 * math.pi * j / ring_n),
-                               math.sin(2.0 * math.pi * j / ring_n))
-                   for j in range(ring_n))
-    return out
+def _disk_samples(radius: float) -> np.ndarray:
+    """The 128 shifts of the disk as an (8, 16) array, one product per row:
+    64 points on the circle |alpha| = radius (four rows), then 16 on each
+    ring at 1/5, 2/5, 3/5 and 4/5 of it.  The maximum over the disk is
+    sampled, not assumed: the summed modulus powers need not peak on the
+    boundary."""
+    rings = [(radius, 64)] + [(radius * m / 5.0, 16) for m in range(1, 5)]
+    return np.array([r * complex(math.cos(2.0 * math.pi * j / n),
+                                 math.sin(2.0 * math.pi * j / n))
+                     for r, n in rings for j in range(n)]).reshape(8, 16)
 
 
-def cauchy_transfer_report(cache: ZeroCache, k: int, ell: int, radius: float,
-                           n_samples: int = 64) -> CauchyTransferReport:
+def cauchy_transfer_report(cache: ZeroCache, k: int, ell: int,
+                           radius: float) -> CauchyTransferReport:
     """Sampled max over the disk |alpha| <= radius against the LHS moment.
 
-    n_samples points go on the circle and a quarter as many (at least 8) on
-    each of four interior rings.
+    The 128 shifts of _disk_samples take 8 products of the Taylor table,
+    each reduced to one sum |zeta(rho + alpha)|^{2k} per shift.  The LHS
+    is the moment of zeta^(ell) at the zeros.
     """
-    if k < 1 or ell < 1:
-        raise ValueError("k and ell must be >= 1")
+    if not (1 <= k < math.inf and ell >= 1):
+        raise ValueError(f"k and ell must be finite and >= 1 (got {k}, {ell})")
     if not (0.0 < radius <= 1.0 / math.log(cache.t_max) + 1e-15):
         raise ValueError(f"radius {radius} outside (0, 1/log T]")
-    if n_samples < 64:
-        raise ValueError(f"n_samples must be >= 64 (got {n_samples})")
-    lhs_vals = values_at_zeros(cache, 0.0, ell)
-    lhs = float(np.sum(np.abs(lhs_vals) ** (2.0 * k)))
+    lhs = _moment(cache, k, ell, 0.0).raw_sum
     evaluator = shift_evaluator(cache)
-    samples = _disk_samples(radius, n_samples)
-    best = -math.inf
-    best_alpha = 0.0 + 0.0j
-    for alpha in samples:
-        vals = evaluator.values(alpha)
-        total = float(np.sum(np.abs(vals) ** (2.0 * k)))
-        if total > best:
-            best, best_alpha = total, alpha
+    samples = _disk_samples(radius)
+    totals = np.array([np.sum(np.abs(evaluator.values(row)) ** (2.0 * k), axis=0)
+                       for row in samples])
+    best = int(np.argmax(totals))
     prefactor = (math.factorial(ell) / radius ** ell) ** (2.0 * k)
     return CauchyTransferReport(k=k, ell=ell, radius=radius,
-                                n_samples=len(samples), lhs=lhs,
-                                rhs_sampled=prefactor * best,
-                                prefactor=prefactor, argmax_alpha=best_alpha)
+                                n_samples=samples.size, lhs=lhs,
+                                rhs_sampled=prefactor * float(totals.flat[best]),
+                                prefactor=prefactor,
+                                argmax_alpha=complex(samples.flat[best]))
 
 
-def cauchy_transfer_audit(cache: ZeroCache, k: int, ell: int, radius: float,
-                          n_samples: int = 64) -> float:
+def cauchy_transfer_audit(cache: ZeroCache, k: int, ell: int, radius: float) -> float:
     """Sampled slack RHS/LHS of the derivative-moment transfer (pass >= 0.95)."""
-    return cauchy_transfer_report(cache, k, ell, radius, n_samples).slack
+    return cauchy_transfer_report(cache, k, ell, radius).slack
 
 
 # ---------------------------------------------------------------------------
@@ -422,12 +407,12 @@ def continuous_moment(k: float | tuple[float, ...], t_max: float,
     """
     ks = k if isinstance(k, tuple) else (k,)
     for kk in ks:
-        if kk <= 0:
-            raise ValueError(f"k must be positive (got {kk})")
+        if not 0.0 < kk < math.inf:
+            raise ValueError(f"k must be positive and finite (got {kk})")
     if not 0.0 < step <= 0.01:
         raise ValueError(f"step must be in (0, 0.01] (got {step})")
-    if t_max <= 1.0:
-        raise ValueError("t_max must exceed 1")
+    if not 1.0 < t_max < math.inf:
+        raise ValueError(f"t_max must exceed 1 and be finite (got {t_max})")
     n_iv = int(math.ceil((t_max - 1.0) / step))
     if n_iv % 2 == 1:
         n_iv += 1

@@ -93,8 +93,8 @@ def gonek_sum(cache: ZeroCache, x: float) -> GonekReport:
     The error budget evaluates the three remainder shapes with constant 1:
     x log(2xT) loglog(3x) + log(x) min(T, x/<x>) + log(2T) min(T, 1/log x).
     """
-    if x <= 1.0:
-        raise PreconditionError(f"gonek_sum needs x > 1 (got {x})")
+    if not 1.0 < x < math.inf:
+        raise PreconditionError(f"gonek_sum needs 1 < x < inf (got {x})")
     if len(cache) == 0:
         raise PreconditionError("gonek_sum needs a nonempty zero cache")
     t_max = cache.t_max

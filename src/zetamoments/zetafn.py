@@ -439,8 +439,9 @@ class ZeroShiftEvaluator:
     The table holds for |alpha| <= radius = 1/log t_max, where |alpha| log N
     stays near 1 and the main-sum series converges superexponentially.
     There it agrees with zeta_at_heights well inside that route's committed
-    error (to about 1e-11 relative at t = 1e4).  values() refuses larger
-    shifts, which belong to zeta_at_heights.
+    error (to about 1e-11 relative at t = 1e4).  values() takes one shift or
+    an array of shifts and answers either with one matrix product; it
+    refuses a shift beyond the radius, which belongs to zeta_at_heights.
     """
 
     def __init__(self, gammas: np.ndarray, t_max: float):
@@ -465,19 +466,20 @@ class ZeroShiftEvaluator:
             coeff[sl] += boundary[0].reshape(s.shape).T @ dft
         self._coeff = coeff
 
-    def covers(self, alpha: complex) -> bool:
-        """True when |alpha| is within the table's radius."""
-        return abs(complex(alpha)) <= self.radius + _RADIUS_SLACK
+    def covers(self, alpha: complex | np.ndarray) -> bool:
+        """True when every |alpha| is within the table's radius."""
+        return bool(np.all(np.abs(alpha) <= self.radius + _RADIUS_SLACK))
 
-    def values(self, alpha: complex, order: int = 0) -> np.ndarray:
-        """zeta^(order)(rho + alpha) for every zero: one matrix-vector product."""
+    def values(self, alpha: complex | np.ndarray, order: int = 0) -> np.ndarray:
+        """zeta^(order)(rho + alpha) at every zero in one matrix product: shape
+        (n,) for a scalar alpha, (n, m) for m shifts, one column per shift."""
         if not self.covers(alpha):
-            raise DomainError(f"|alpha| = {abs(complex(alpha))} beyond the "
-                              f"table radius {self.radius}")
+            raise DomainError(f"|alpha| = {float(np.max(np.abs(alpha)))} beyond "
+                              f"the table radius {self.radius}")
         j = np.arange(order, _TAYLOR_ORDER + 1)
         weights = (self._facts[j] / self._facts[j - order]
-                   * complex(alpha) ** (j - order))
-        return self._coeff[:, order:] @ weights
+                   * np.asarray(alpha, dtype=np.complex128)[..., None] ** (j - order))
+        return self._coeff[:, order:] @ weights.T
 
 
 # ---------------------------------------------------------------------------

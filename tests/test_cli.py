@@ -93,12 +93,42 @@ class TestValidationErrors:
         assert out.exists()
         assert calls == [cli_cache]
 
-    @pytest.mark.parametrize("flag", ["--alpha-re", "--alpha-im"])
-    @pytest.mark.parametrize("command", [["shifted", "--k", "1"], ["meansquare", "--x", "5"]])
-    def test_non_finite_shift(self, command, flag, cli_cache, capsys):
-        code = main(command + ["--cache", cli_cache, flag, "nan"])
+    @pytest.mark.parametrize("argv, named", [
+        *(pytest.param([*command, flag, "nan"], "alpha", id=f"command{i}-{flag}")
+          for i, command in enumerate((["shifted", "--k", "1"], ["meansquare", "--x", "5"]))
+          for flag in ("--alpha-re", "--alpha-im")),
+        pytest.param(["moments", "--k", "nan"], "k must be positive and finite",
+                     id="moments---k-nan"),
+        pytest.param(["shifted", "--k", "nan"], "k must be positive and finite",
+                     id="shifted---k-nan"),
+        pytest.param(["shifted", "--k", "inf"], "k must be positive and finite",
+                     id="shifted---k-inf"),
+        pytest.param(["largeval", "--k", "nan"], "k_hint must be finite",
+                     id="largeval---k-nan"),
+        pytest.param(["largeval", "--k", "inf"], "k_hint must be finite",
+                     id="largeval---k-inf"),
+        pytest.param(["gonek", "--x", "nan"], "needs 1 < x < inf", id="gonek---x-nan"),
+        pytest.param(["gonek", "--x", "inf"], "needs 1 < x < inf", id="gonek---x-inf"),
+        pytest.param(["meansquare", "--x", "nan"], "--x must be finite",
+                     id="meansquare---x-nan"),
+        pytest.param(["meansquare", "--x", "inf"], "--x must be finite",
+                     id="meansquare---x-inf"),
+        pytest.param(["audit", "--tmax", "nan"], "t_max must lie in", id="audit---tmax-nan"),
+        pytest.param(["audit", "--tmax", "100", "--k", "nan"],
+                     "every k must be positive and finite", id="audit---k-nan"),
+        pytest.param(["continuous", "--tmax", "100", "--k", "nan"],
+                     "k must be positive and finite", id="continuous---k-nan"),
+        pytest.param(["continuous", "--tmax", "inf"], "t_max must exceed 1 and be finite",
+                     id="continuous---tmax-inf"),
+    ])
+    def test_non_finite_shift(self, argv, named, cli_cache, capsys):
+        """A non-finite shift, k, T or x exits 1, naming it, and writes nothing."""
+        cache = [] if argv[0] == "continuous" else ["--cache", cli_cache]
+        code = main(argv + cache)
         assert code == EXIT_VALIDATION
-        assert "alpha" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
 
     def test_cache_header_without_tmax(self, tmp_path, capsys):
         path = tmp_path / "notmax.csv"

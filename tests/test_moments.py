@@ -176,26 +176,29 @@ class TestCauchyTransfer:
 
     def test_reports_every_shift_it_evaluates(self, cache1000, monkeypatch):
         radius = 1.0 / math.log(1000.0)
-        shifts = []
+        calls = []
         values = zetafn.ZeroShiftEvaluator.values
 
         def counted(self, alpha, order=0):
             if order == 0:
-                shifts.append(alpha)
+                calls.append(alpha)
             return values(self, alpha, order)
 
         monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted)
         rep = cauchy_transfer_report(cache1000, 1, 1, radius)
-        assert rep.n_samples == len(shifts) == 128
-        assert shifts == moments._disk_samples(radius, 64)
+        shifts = np.concatenate([np.ravel(alpha) for alpha in calls])
+        assert len(calls) == 8
+        assert rep.n_samples == shifts.size == 128
+        assert np.array_equal(shifts, moments._disk_samples(radius).ravel())
 
     def test_validation(self, cache1000):
         with pytest.raises(ValueError):
             cauchy_transfer_audit(cache1000, 0, 1, 0.1)
         with pytest.raises(ValueError):
             cauchy_transfer_audit(cache1000, 1, 1, 0.5)
-        with pytest.raises(ValueError):
-            cauchy_transfer_audit(cache1000, 1, 1, 0.01, n_samples=8)
+        for k in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                cauchy_transfer_audit(cache1000, k, 1, 0.1)
 
 
 class TestContinuousMoment:
@@ -276,6 +279,17 @@ class TestEvaluatorConsistency:
             fast = ev.values(alpha)
             scale = np.abs(direct).max()
             assert np.abs(direct - fast).max() <= 1e-10 * max(1.0, scale)
+        shifts = moments._disk_samples(1.0 / lt).ravel()
+        for order in (0, 2):
+            columns = ev.values(shifts, order)
+            assert columns.shape == (len(cache1000), shifts.size)
+            for alpha, column in zip(shifts, columns.T):
+                single = ev.values(alpha, order)
+                assert np.abs(column - single).max() <= 1e-14 * np.abs(single).max()
+        beyond = shifts.copy()
+        beyond[100] = 1.01 / lt
+        with pytest.raises(zetafn.DomainError):
+            ev.values(beyond)
 
     def test_table_matches_em_route(self, cache1000):
         gammas = cache1000.gammas
