@@ -318,8 +318,8 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
         ks = tuple(config.k_list)
         t_top = min(config.t_max, 2000.0)
         for k, val in zip(ks, moments.continuous_moment(ks, t_top, 0.01)):
-            scale = math.log(t_top) ** (k * k)
-            add(AuditOutcome(f"continuous_moment[k={k:g}]", val / scale, 0.0, 1,
+            add(AuditOutcome(f"continuous_moment[k={k:g}]",
+                             moments.log_power_ratio(val, t_top, k * k), 0.0, 1,
                              f"value {val:.6g}"))
 
     _safe(continuous, "continuous_moment", outcomes)

@@ -121,8 +121,9 @@ def _cmd_largeval(args) -> int:
     if args.vmin is not None:
         if args.vmax is None or not -math.inf < args.vmin < args.vmax < math.inf:
             raise _ValidationExit("--vmin and --vmax must be finite, --vmax above --vmin")
-        count = int((args.vmax - args.vmin + 1e-12) / args.vstep) + 1
-        grid = [args.vmin + i * args.vstep for i in range(count)]
+        steps = (args.vmax - args.vmin + 1e-12) / args.vstep
+        moments.check_v_grid_length(steps + 1.0)
+        grid = [args.vmin + i * args.vstep for i in range(int(steps) + 1)]
     else:
         grid = None
     hist = moments.large_value_histogram(cache, args.k, _alpha(args), grid)
@@ -170,7 +171,7 @@ def _cmd_continuous(args) -> int:
     value = moments.continuous_moment(args.k, args.tmax, args.step)
     _emit_rows([{
         "k": args.k, "t_max": args.tmax, "step": args.step, "value": value,
-        "ratio_to_log_power": value / math.log(args.tmax) ** (args.k * args.k),
+        "ratio_to_log_power": moments.log_power_ratio(value, args.tmax, args.k * args.k),
     }], args.out)
     return EXIT_OK
 
@@ -280,7 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vmin", type=float, default=None,
                    help="lowest V of an explicit grid (default: integer grid from 3)")
     p.add_argument("--vmax", type=float, default=None, help="highest V")
-    p.add_argument("--vstep", type=float, default=1.0, help="V grid step (positive)")
+    p.add_argument("--vstep", type=float, default=1.0,
+                   help=f"V grid step (positive); a grid holds at most "
+                        f"{moments.MAX_V_GRID:,} values")
     _add_common(p, cache=True, alpha=True)
     p.set_defaults(func=_cmd_largeval)
 

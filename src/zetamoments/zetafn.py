@@ -2,18 +2,23 @@
 
 Evaluation strategy:
 
-* ``zeta``/``zeta_prime`` use Euler-Maclaurin with truncation
+* ``zeta``, ``zeta_prime``, ``zeta_deriv`` and ``log_deriv`` take every
+  derivative order they need from one pass per point (``_zeta_orders``).
+  For sigma >= 0.3 that is Euler-Maclaurin with truncation
   ``N = em_truncation(t)``, max(30, ceil(|t|/pi)) rounded up to m * 2^e with
-  16 <= m <= 31, and 24 Bernoulli correction terms for sigma >= 0.3 (and
-  near the origin, where the reflected point would sit by the pole); further
-  left the functional equation ``zeta(s) = chi(s) zeta(1-s)`` is applied.
+  16 <= m <= 31, and 24 Bernoulli correction terms.  Left of sigma = 0.3 it
+  is the functional equation ``zeta(s) = chi(s) zeta(1-s)``: one
+  Euler-Maclaurin pass at 1 - s and one evaluation of chi and chi'.  Only
+  zeta itself keeps the direct route within |s| <= 0.4, where the reflected
+  point would sit by the pole and the direct sum still commits less.
   The committed error estimate is the classical Euler-Maclaurin remainder
   bound (first omitted correction scaled by |s+2m+1|/(sigma+2m+1)) plus a
   floating-point noise allowance.
 * The batched routes (``zeta_at_heights``, ``ZeroShiftEvaluator``,
   ``em_z_with_deriv``, ``hardy_z_grid``) take the same truncation per height,
-  in runs of heights that share it, so a batched value equals the scalar one
-  bit for bit and does not depend on the other heights in the batch.
+  in runs of heights that share it (``_em_grid`` on the Euler-Maclaurin
+  route), so a batched value equals the scalar one bit for bit and does not
+  depend on the other heights in the batch.
 * ``hardy_z`` is ``hardy_z_grid`` at one point.  Below t = 200 the grid
   rotates the Euler-Maclaurin value of zeta (one routine, ``_em_z``, which
   also gives the sweep's Newton steps their dZ/dt); from t = 200 up it takes
@@ -80,6 +85,7 @@ _B2K = tuple(Fraction(p, q) for p, q in (
 
 _EM_TERMS = 24          # Bernoulli corrections actually summed
 _EM_MIN_LENGTH = 30     # shortest main sum; see em_truncation
+_DERIV_ERR_FACTOR = 3.0  # log N growth allowance per derivative order; audited
 
 
 def _em_coefficients():
@@ -237,8 +243,8 @@ def _bucket_runs(ts: np.ndarray):
 def _zeta_em_batch(sigma: float, ts: np.ndarray, n_terms: int, max_order: int):
     """zeta and derivatives at sigma + i*ts by Euler-Maclaurin with n_terms.
 
-    Returns (values, err0) where values[j] is the array of j-th derivative
-    values for j = 0..max_order and err0 is the order-0 error-estimate array.
+    Returns (values, errs): values[j] and errs[j] are the arrays of j-th
+    derivative values and their committed errors for j = 0..max_order.
     Valid for sigma > -(2*_EM_TERMS + 1); ts must be nonnegative.
     """
     ts = np.asarray(ts, dtype=np.float64)
@@ -261,7 +267,19 @@ def _zeta_em_batch(sigma: float, ts: np.ndarray, n_terms: int, max_order: int):
     # Floating-point noise: amplitude sum and phase error t*log(n)*eps.
     amp_sum = float(amp.sum()) + n ** (-sigma) * (0.5 + n / max(1.0, abs(sigma - 1.0)))
     fp = 4e-16 * amp_sum + 2.5e-15 * np.abs(ts) * math.log(n) + 1e-15
-    return values, trunc + fp
+    growth = math.log(n) + _DERIV_ERR_FACTOR
+    return values, [(trunc + fp) * growth ** j for j in range(max_order + 1)]
+
+
+def _em_grid(sigma: float, ts: np.ndarray, max_order: int):
+    """zeta^(j)(sigma + i*ts) and their committed errors for j = 0..max_order,
+    as two (max_order + 1, len(ts)) arrays: one _zeta_em_batch pass per
+    _bucket_runs run, so a value depends on its height alone."""
+    values = np.empty((max_order + 1, ts.size), dtype=np.complex128)
+    errs = np.empty((max_order + 1, ts.size))
+    for sl, n in _bucket_runs(ts):
+        values[:, sl], errs[:, sl] = _zeta_em_batch(sigma, ts[sl], n, max_order)
+    return values, errs
 
 
 def _em_boundary(s: np.ndarray, n, max_order: int):
@@ -324,48 +342,46 @@ def _check_domain(s: complex) -> None:
         raise PoleError("zeta has a pole at s = 1")
 
 
-_DERIV_ERR_FACTOR = 3.0  # log N growth allowance per derivative order; audited
-
-
-def _zeta_reflect(s: complex, order: int) -> EvalResult:
-    """zeta and zeta' left of the strip via zeta(s) = chi(s) zeta(1-s)."""
+def _zeta_orders(s: complex, order: int):
+    """zeta^(j)(s) for j = 0..order from one pass, with their committed errors
+    and the route: ([values], [errors], tag)."""
+    if s.imag < 0:
+        values, errs, tag = _zeta_orders(s.conjugate(), order)
+        return [v.conjugate() for v in values], errs, tag
+    _check_domain(s)
+    # Euler-Maclaurin converges in the whole supported strip, but left of it
+    # its terms cancel: zeta's committed error reaches 4e-9 of |zeta| at
+    # |s| = 2.5, where the reflection commits 3e-13.  Reflection is also
+    # mandatory for derivatives there (the term-differentiated corrections
+    # degenerate at the nonpositive integers).  Near s = 0 the reflected
+    # point approaches the pole, so zeta keeps the direct route within
+    # |s| <= 0.4, where that route commits less than the reflection.
+    if s.real >= 0.3 or (order == 0 and abs(s) <= 0.4):
+        n = em_truncation(s.imag)
+        values, errs = _zeta_em_batch(s.real, np.array([s.imag]), n, order)
+        return [complex(v[0]) for v in values], [float(e[0]) for e in errs], EULER_MACLAURIN
     if order > 1:
         raise DomainError("second derivative unsupported for sigma < 0.3")
-    z1 = zeta_deriv(1.0 - s, 0)
-    c = chi(s)
-    if order == 0:
-        value = c.value * z1.value
-        err = abs(c.value) * z1.abs_error_estimate + abs(z1.value) * c.abs_error_estimate
-        return EvalResult(value, err + 1e-16 * abs(value), REFLECTION)
-    # zeta'(s) = chi'(s) zeta(1-s) - chi(s) zeta'(1-s)
-    z1p = zeta_deriv(1.0 - s, 1)
-    cp = _chi_prime(s)
-    value = cp * z1.value - c.value * z1p.value
-    err = (abs(cp) * z1.abs_error_estimate + abs(c.value) * z1p.abs_error_estimate
-           + abs(z1.value) * abs(cp) * 1e-12 + abs(z1p.value) * c.abs_error_estimate)
-    return EvalResult(value, err + 1e-15 * (1.0 + abs(value)), REFLECTION)
+    # zeta(s) = chi(s) zeta(1-s), zeta'(s) = chi'(s) zeta(1-s) - chi(s) zeta'(1-s)
+    z1, e1, _ = _zeta_orders(1.0 - s, order)
+    c, ec, cp = _chi_orders(s, order)
+    values = [c * z1[0]]
+    # the product's own rounding: sqrt(5) 2^-53 of |value| for complex factors
+    errs = [abs(c) * e1[0] + abs(z1[0]) * ec + 3e-16 * abs(values[0])]
+    if order:
+        value = cp * z1[0] - c * z1[1]
+        values.append(value)
+        errs.append(abs(cp) * e1[0] + abs(c) * e1[1] + abs(z1[0]) * abs(cp) * 1e-12
+                    + abs(z1[1]) * ec + 1e-15 * (1.0 + abs(value)))
+    return values, errs, REFLECTION
 
 
 def zeta_deriv(s: complex, order: int) -> EvalResult:
     """zeta^(order)(s) for order in {0, 1, 2}."""
     if order not in (0, 1, 2):
         raise DomainError(f"derivative order {order} unsupported (0, 1, 2 only)")
-    s = complex(s)
-    if s.imag < 0:
-        r = zeta_deriv(s.conjugate(), order)
-        return EvalResult(r.value.conjugate(), r.abs_error_estimate, r.method_tag)
-    _check_domain(s)
-    # Euler-Maclaurin converges in the whole supported strip; reflection is
-    # beneficial left of the strip at height, and mandatory for derivatives
-    # left of the strip (the term-differentiated corrections degenerate at
-    # the nonpositive integers).  Near s = 0 the reflected point approaches
-    # the pole, so order 0 keeps the direct route there.
-    if s.real >= 0.3 or (order == 0 and abs(s) <= 2.5):
-        n = em_truncation(s.imag)
-        values, err0 = _zeta_em_batch(s.real, np.array([s.imag]), n, order)
-        err = float(err0[0]) * (math.log(n) + _DERIV_ERR_FACTOR) ** order
-        return EvalResult(complex(values[order][0]), err, EULER_MACLAURIN)
-    return _zeta_reflect(s, order)
+    values, errs, tag = _zeta_orders(complex(s), order)
+    return EvalResult(values[order], errs[order], tag)
 
 
 def zeta(s: complex) -> EvalResult:
@@ -379,14 +395,12 @@ def zeta_prime(s: complex) -> EvalResult:
 
 
 def log_deriv(s: complex) -> EvalResult:
-    """zeta'(s)/zeta(s) with propagated error estimate."""
-    z = zeta(s)
-    if abs(z.value) < 1e-12:
-        raise NearZeroError(f"|zeta({s})| = {abs(z.value):.3e} < 1e-12")
-    zp = zeta_prime(s)
-    value = zp.value / z.value
-    err = (zp.abs_error_estimate + abs(value) * z.abs_error_estimate) / abs(z.value)
-    return EvalResult(value, err, z.method_tag)
+    """zeta'(s)/zeta(s) with propagated error estimate, from one pass."""
+    (z, zp), (ez, ezp), tag = _zeta_orders(complex(s), 1)
+    if abs(z) < 1e-12:
+        raise NearZeroError(f"|zeta({s})| = {abs(z):.3e} < 1e-12")
+    value = zp / z
+    return EvalResult(value, (ezp + abs(value) * ez) / abs(z), tag)
 
 
 def zeta_at_heights(gammas: np.ndarray, alpha: complex = 0.0,
@@ -407,13 +421,8 @@ def zeta_at_heights(gammas: np.ndarray, alpha: complex = 0.0,
         raise DomainError(f"shifted abscissa {sigma} too far left for the fast path")
     if np.any(ts < 0):
         raise DomainError("negative shifted ordinate in fast path")
-    values = np.empty(gammas.size, dtype=np.complex128)
-    errs = np.empty(gammas.size, dtype=np.float64)
-    for sl, n in _bucket_runs(ts):
-        vals, err0 = _zeta_em_batch(sigma, ts[sl], n, order)
-        values[sl] = vals[order]
-        errs[sl] = err0 * (math.log(n) + _DERIV_ERR_FACTOR) ** order
-    return values, errs
+    values, errs = _em_grid(sigma, ts, order)
+    return values[order], errs[order]
 
 
 # Shift-table order: the omitted terms stay below 1e-20 of the main sum's
@@ -818,24 +827,18 @@ def _rs_block(ts: np.ndarray, max_order: int):
 
 def _em_z(ts: np.ndarray, max_order: int):
     """Z on the Euler-Maclaurin route, its committed error, and (for
-    max_order 1, else None) dZ/dt, one pass per _bucket_runs run.
+    max_order 1, else None) dZ/dt, from _em_grid on the critical line.
 
     |Z| is |zeta(1/2+it)| exactly: only the sign comes from the rotation
     e^{i theta} zeta, whose imaginary residue is folded into the error.
     """
-    z = np.empty(ts.size)
-    err = np.empty(ts.size)
-    dz = np.empty(ts.size) if max_order else None
-    for sl, n in _bucket_runs(ts):
-        block = ts[sl]
-        vals, e0 = _zeta_em_batch(0.5, block, n, max_order)
-        rot = np.exp(1j * _theta_raw(block))
-        rotated = rot * vals[0]
-        modulus = np.abs(vals[0])
-        z[sl] = np.where(rotated.real >= 0.0, 1.0, -1.0) * modulus
-        err[sl] = e0 + np.abs(rotated.imag) + 1e-10 * modulus
-        if max_order:
-            dz[sl] = -np.imag(rot * (_theta_deriv_raw(block) * vals[0] + vals[1]))
+    vals, errs = _em_grid(0.5, ts, max_order)
+    rot = np.exp(1j * _theta_raw(ts))
+    rotated = rot * vals[0]
+    modulus = np.abs(vals[0])
+    z = np.where(rotated.real >= 0.0, 1.0, -1.0) * modulus
+    err = errs[0] + np.abs(rotated.imag) + 1e-10 * modulus
+    dz = -np.imag(rot * (_theta_deriv_raw(ts) * vals[0] + vals[1])) if max_order else None
     return z, err, dz
 
 
@@ -957,51 +960,55 @@ def digamma(s: complex) -> complex:
 def _chi_parts(s: complex):
     """log of the gamma-side prefactor 2^s pi^{s-1} Gamma(1-s) (sin(pi s/2) is
     handled separately), and the sum of its summands' magnitudes: s log 2,
-    (s-1) log pi and the Stirling terms of log Gamma(1-s).  They cancel far
-    below that sum, and each carries a rounding error relative to itself.
+    (s-1) log pi and the Stirling terms of log Gamma(1-s) at the point where
+    log_gamma sums them: z = 1 - s, or |z| = 32 when it recurs up from a
+    smaller |z|.  They cancel far below that sum, and each carries a
+    rounding error relative to itself.
     """
     z = 1.0 - s
     lg = s * math.log(2.0) + (s - 1.0) * math.log(math.pi) + log_gamma(z)
+    w = z if abs(z) >= _STIRLING_SHIFT else complex(_STIRLING_SHIFT)
     mag = (abs(s) * math.log(2.0) + abs(s - 1.0) * math.log(math.pi)
-           + abs((z - 0.5) * cmath.log(z)) + abs(z))
+           + abs((w - 0.5) * cmath.log(w)) + abs(w))
     return lg, mag
 
 
-def chi(s: complex) -> EvalResult:
-    """chi(s) = 2^s pi^{s-1} Gamma(1-s) sin(pi s/2), via log-space combination."""
-    s = complex(s)
+def _chi_orders(s: complex, order: int):
+    """chi(s), its committed error and, for order 1 (else None), chi'(s):
+    one log Gamma(1 - s) and one digamma, stable at the trivial zeros and at
+    large heights."""
     if s.imag < 0.0:
-        r = chi(s.conjugate())
-        return EvalResult(r.value.conjugate(), r.abs_error_estimate, r.method_tag)
+        value, err, prime = _chi_orders(s.conjugate(), order)
+        return value.conjugate(), err, prime.conjugate() if order else None
     if s.real > 3.5 and s.imag == 0.0:
         raise DomainError("chi needs Gamma(1-s) off the poles; sigma too large")
     lg, mag = _chi_parts(s)
+    # chi'/chi = log 2 pi - digamma(1 - s) + (pi/2) cot(pi s/2)
+    dlog = math.log(2.0) + math.log(math.pi) - digamma(1.0 - s) if order else None
+    prime = None
     if s.imag >= 30.0:
-        log_sin = -0.5j * math.pi * s + cmath.log(cmath.exp(1j * math.pi * s) - 1.0) \
-            - cmath.log(2j)
+        q = cmath.exp(1j * math.pi * s)
+        log_sin = -0.5j * math.pi * s + cmath.log(q - 1.0) - cmath.log(2j)
         value = cmath.exp(lg + log_sin)
         # rounding of the exponent: 9 ulps of its summands' magnitudes, about
         # twice the largest error measured against mpmath
         err = abs(value) * (2e-15 * (mag + abs(log_sin)) + 1e-14)
+        if order:
+            # cot(pi s/2) -> -i stably via e^{i pi s}, which is tiny here
+            cot = 1j * (q + 1.0) / (q - 1.0)
+            prime = value * (dlog + 0.5 * math.pi * cot)
     else:
         pref = cmath.exp(lg)
-        value = pref * cmath.sin(0.5 * math.pi * s)
+        sin = cmath.sin(0.5 * math.pi * s)
+        value = pref * sin
         err = (abs(value) * (2e-15 * mag + 1e-14)
                + abs(pref) * 4e-16 * (1.0 + abs(s)))
+        if order:
+            prime = pref * (dlog * sin + 0.5 * math.pi * cmath.cos(0.5 * math.pi * s))
+    return value, err, prime
+
+
+def chi(s: complex) -> EvalResult:
+    """chi(s) = 2^s pi^{s-1} Gamma(1-s) sin(pi s/2), via log-space combination."""
+    value, err, _ = _chi_orders(complex(s), 0)
     return EvalResult(value, err, REFLECTION)
-
-
-def _chi_prime(s: complex) -> complex:
-    """chi'(s), stable at the trivial zeros and at large heights."""
-    s = complex(s)
-    if s.imag < 0.0:
-        return _chi_prime(s.conjugate()).conjugate()
-    dlog = math.log(2.0) + math.log(math.pi) - digamma(1.0 - s)
-    if s.imag >= 30.0:
-        # cot(pi s/2) -> -i stably via e^{i pi s}, which is tiny here
-        q = cmath.exp(1j * math.pi * s)
-        cot = 1j * (q + 1.0) / (q - 1.0)
-        return chi(s).value * (dlog + 0.5 * math.pi * cot)
-    pref = cmath.exp(_chi_parts(s)[0])
-    return pref * (dlog * cmath.sin(0.5 * math.pi * s)
-                   + 0.5 * math.pi * cmath.cos(0.5 * math.pi * s))

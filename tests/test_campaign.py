@@ -66,8 +66,9 @@ class TestRunCampaign:
         outcomes = {o.audit_name: o for o in campaign.run_campaign(config)}
         assert calls == [(1.0, 2.0)]
         for k, val in zip((1.0, 2.0), real((1.0, 2.0), 1000.0, 0.01)):
-            assert outcomes[f"continuous_moment[k={k:g}]"].fitted_constant == \
-                val / math.log(1000.0) ** (k * k)
+            constant = outcomes[f"continuous_moment[k={k:g}]"].fitted_constant
+            assert constant == campaign.moments.log_power_ratio(val, 1000.0, k * k)
+            assert constant == pytest.approx(val / math.log(1000.0) ** (k * k), rel=1e-14)
 
     def test_partial_fraction_reports_samples_used(self, cache_file, monkeypatch):
         config = CampaignConfig(t_max=1000.0, k_list=(), cache_path=cache_file)

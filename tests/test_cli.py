@@ -19,6 +19,13 @@ def cli_cache(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def cli_cache_1000(tmp_path_factory, cache1000):
+    path = str(tmp_path_factory.mktemp("cli") / "z1000.csv")
+    zeros.save(cache1000, path)
+    return path
+
+
 class TestSweepCommand:
     def test_writes_29_record_cache(self, cli_cache, capsys):
         cache = zeros.load(cli_cache)
@@ -120,15 +127,38 @@ class TestValidationErrors:
                      "k must be positive and finite", id="continuous---k-nan"),
         pytest.param(["continuous", "--tmax", "inf"], "t_max must exceed 1 and be finite",
                      id="continuous---tmax-inf"),
+        pytest.param(["moments", "--k", "200"], "overflows a double", id="moments---k-200"),
+        pytest.param(["continuous", "--k", "1e3", "--tmax", "50"], "overflows a double",
+                     id="continuous---k-1e3"),
+        pytest.param(["continuous", "--k", "50", "--tmax", "2"], "overflows a double",
+                     id="continuous---tmax-2"),
+        pytest.param(["largeval", "--k", "1e300"], "V grid of 7.73e+300 values",
+                     id="largeval---k-1e300"),
+        pytest.param(["largeval", "--vmin", "3", "--vmax", "8", "--vstep", "1e-9"],
+                     "V grid of 5e+09 values", id="largeval---vstep-1e-9"),
     ])
-    def test_non_finite_shift(self, argv, named, cli_cache, capsys):
-        """A non-finite shift, k, T or x exits 1, naming it, and writes nothing."""
-        cache = [] if argv[0] == "continuous" else ["--cache", cli_cache]
+    def test_non_finite_shift(self, argv, named, cli_cache_1000, capsys):
+        """A non-finite shift, k, T or x exits 1, naming it, and writes
+        nothing; so do a power sum that overflows and an over-long V grid,
+        without a numpy warning, before the grid is built."""
+        cache = [] if argv[0] == "continuous" else ["--cache", cli_cache_1000]
         code = main(argv + cache)
         assert code == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert named in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, field", [
+        pytest.param(["moments", "--k", "19"], "ratio_to_conjecture", id="moments---k-19"),
+        pytest.param(["shifted", "--k", "27"], "ratio_to_conjecture", id="shifted---k-27"),
+        pytest.param(["continuous", "--k", "27", "--tmax", "1000"], "ratio_to_log_power",
+                     id="continuous---k-27"),
+    ])
+    def test_large_k_with_a_finite_sum_answers(self, argv, field, cli_cache_1000, capsys):
+        # (log 1000)^k(k+2) overflows a double at k = 19; the ratio is formed in logs
+        cache = [] if argv[0] == "continuous" else ["--cache", cli_cache_1000]
+        assert main(argv + cache) == EXIT_OK
+        assert math.isfinite(json.loads(capsys.readouterr().out)[0][field])
 
     def test_cache_header_without_tmax(self, tmp_path, capsys):
         path = tmp_path / "notmax.csv"

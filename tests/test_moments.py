@@ -232,6 +232,29 @@ class TestContinuousMoment:
             continuous_moment((1.0, -1.0), 1000.0, 0.01)
 
 
+class TestLogPowerRatio:
+    def test_matches_the_power_where_it_is_finite(self):
+        for value, t_max, exponent in ((3.7, 1000.0, 4.0), (2.5e-3, 1e5, 15.0),
+                                       (1e200, 50.0, 80.0), (0.8, 2.0, 3.0)):
+            assert moments.log_power_ratio(value, t_max, exponent) == \
+                pytest.approx(value / math.log(t_max) ** exponent, rel=1e-13)
+
+    def test_finite_where_the_power_overflows(self):
+        # (log 1000)^399 = e^771 overflows a double; the ratio is e^-80.4
+        mpmath = pytest.importorskip("mpmath")
+        with pytest.raises(OverflowError):
+            math.log(1000.0) ** 399.0
+        with mpmath.workdps(30):
+            truth = float(mpmath.mpf(1e300) / mpmath.log(1000) ** 399)
+        assert moments.log_power_ratio(1e300, 1000.0, 399.0) == pytest.approx(truth, rel=1e-12)
+        assert moments.log_power_ratio(0.0, 1000.0, 399.0) == 0.0
+
+    def test_overflowing_ratio_raises(self):
+        # log log 2 < 0, so the ratio grows with the exponent
+        with pytest.raises(ValueError, match="overflows a double"):
+            moments.log_power_ratio(1.0, 2.0, 2500.0)
+
+
 class TestMajorantAudit:
     def test_log_plus_definition(self):
         assert moments.log_plus(0.5) == 0.0

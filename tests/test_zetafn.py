@@ -113,10 +113,27 @@ class TestLogDeriv:
         assert abs(r.value - partial) <= 1.5e-6
 
     def test_quotient_consistency(self):
-        s = complex(4.0, 0.0)
-        r = log_deriv(s)
-        quotient = zeta_prime(s).value / zeta(s).value
-        assert r.value == quotient
+        # direct, reflected and high: the quotient of the public values
+        for s in (complex(4.0, 0.0), complex(-0.5, 40.0), complex(0.5, 50000.25)):
+            r = log_deriv(s)
+            quotient = zeta_prime(s).value / zeta(s).value
+            assert r.value == quotient, s
+
+    @pytest.mark.parametrize("fn, s", [(log_deriv, complex(0.5, 30.0)),
+                                       (log_deriv, complex(-0.5, 40.0)),
+                                       (zeta_prime, complex(-0.5, 40.0))])
+    def test_one_euler_maclaurin_pass_per_call(self, fn, s, monkeypatch):
+        # every order comes from one pass, at s or at 1 - s on the reflection
+        calls = []
+        real = zetafn._zeta_em_batch
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(zetafn, "_zeta_em_batch", counted)
+        fn(s)
+        assert len(calls) == 1
 
     def test_near_zero_raises(self):
         with pytest.raises(NearZeroError):
@@ -304,12 +321,21 @@ class TestChi:
         assert abs(abs(r.value) - expect) / expect <= 2.0 / 100.0
 
     def test_error_estimate_dominates_mpmath(self):
-        # zero failures allowed; the first point once exceeded its estimate
+        # zero failures allowed; the first point once exceeded its estimate,
+        # and so did 34 of the 300 low heights left of sigma = 0.3 (by up to
+        # 3.9x) and 40 of the 290 right of it (by up to 3.2x), where
+        # log_gamma recurs up to |1 - s| = 32.  The right-hand points keep
+        # 0.05 away from the poles of Gamma(1 - s) at s = 1, 2, 3.
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(46)
         points = [complex(-0.07744590465028889, 2180.8910187232514)]
         points += [complex(sigma, t) for sigma, t in
                    zip(rng.uniform(-1.0, 2.0, 300), 10.0 ** rng.uniform(1.0, 5.0, 300))]
+        points += [complex(sigma, t) for sigma, t in
+                   zip(rng.uniform(-3.0, 0.3, 300), 10.0 ** rng.uniform(-3.0, 1.5, 300))]
+        right = [complex(sigma, t) for sigma, t in
+                 zip(rng.uniform(0.3, 3.4, 300), 10.0 ** rng.uniform(-3.0, 1.5, 300))]
+        points += [s for s in right if min(abs(s - n) for n in (1, 2, 3)) >= 0.05]
         with mpmath.workdps(30):
             for s in points:
                 m = mpmath.mpc(s.real, s.imag)
@@ -342,6 +368,24 @@ class TestLogGamma:
     def test_pole_raises(self):
         with pytest.raises(DomainError):
             log_gamma(complex(-2.0, 0.0))
+
+
+@pytest.fixture(scope="module")
+def left_of_strip():
+    """(s, (zeta(s), zeta'(s))) by mpmath at 20 digits: three named points,
+    then 2,000 seeded ones with sigma uniform on [-3, 0.3) and t
+    log-uniform on [1e-3, 200]."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(22)
+    u = rng.uniform(size=(2000, 2))
+    points = [complex(-2.410407411341069, 0.011072748493650517),
+              complex(-2.4203539849694473, 0.001388247055830527),
+              complex(-2.847509056769355, 0.0010411055504961461)]
+    points += [complex(-3.0 + 3.3 * a, math.exp(math.log(1e-3) + math.log(2e5) * b))
+               for a, b in u]
+    with mpmath.workdps(20):
+        return [(s, tuple(complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), derivative=j))
+                          for j in (0, 1))) for s in points]
 
 
 class TestInvariants:
@@ -388,6 +432,25 @@ class TestInvariants:
             r = zeta(s)
             truth, bound = em_zeta_oracle(s)
             assert abs(r.value - truth) <= r.abs_error_estimate + bound, s
+
+    def test_estimates_dominate_mpmath_left_of_the_strip(self, left_of_strip):
+        # zero failures, on both routes; the second and third points once
+        # missed on Euler-Maclaurin (1.51x) and on the reflection (1.30x)
+        for s, truth in left_of_strip:
+            for order, fn in ((0, zeta), (1, zeta_prime)):
+                r = fn(s)
+                assert abs(r.value - truth[order]) <= r.abs_error_estimate, (s, order)
+
+    def test_log_deriv_dominates_mpmath_near_the_origin(self, left_of_strip):
+        # |s| <= 2.5 left of the strip, where zeta once came from
+        # Euler-Maclaurin and zeta' from the reflection: the first point
+        # missed by 1.30x
+        points = [(s, truth) for s, truth in left_of_strip if abs(s) <= 2.5]
+        assert len(points) > 700
+        for s, (z, zp) in points:
+            r = log_deriv(s)
+            assert abs(r.value - zp / z) <= r.abs_error_estimate, s
+            assert r.method_tag == zetafn.REFLECTION
 
     def test_zeta_prime_estimate_dominates(self):
         rng = np.random.default_rng(45)
