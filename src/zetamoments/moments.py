@@ -87,6 +87,9 @@ class CauchyTransferReport:
     """Sampled two-sided data of the derivative-moment transfer inequality.
 
     n_samples counts the shifts evaluated: the circle and its interior rings.
+    slack is the sampled right-hand side over lhs.  The prefactor
+    (ell!/radius^ell)^(2k) is kept as its log: it and the right-hand side
+    overflow a double at k where the slack is still finite.
     """
 
     k: int
@@ -94,13 +97,9 @@ class CauchyTransferReport:
     radius: float
     n_samples: int
     lhs: float
-    rhs_sampled: float
-    prefactor: float
+    log_prefactor: float
+    slack: float
     argmax_alpha: complex
-
-    @property
-    def slack(self) -> float:
-        return self.rhs_sampled / self.lhs
 
 
 @dataclass(frozen=True)
@@ -403,7 +402,8 @@ def cauchy_transfer_report(cache: ZeroCache, k: int, ell: int,
 
     The 128 shifts of _disk_samples take 8 products of the Taylor table,
     each reduced to one sum |zeta(rho + alpha)|^{2k} per shift.  The LHS
-    is the moment of zeta^(ell) at the zeros.
+    is the moment of zeta^(ell) at the zeros.  The slack is formed in logs;
+    where it overflows a double, ValueError.
     """
     if not (1 <= k < math.inf and ell >= 1):
         raise ValueError(f"k and ell must be finite and >= 1 (got {k}, {ell})")
@@ -417,11 +417,15 @@ def cauchy_transfer_report(cache: ZeroCache, k: int, ell: int,
                            for row in samples])
     _require_finite(totals, k)
     best = int(np.argmax(totals))
-    prefactor = (math.factorial(ell) / radius ** ell) ** (2.0 * k)
+    log_prefactor = 2.0 * k * (math.log(math.factorial(ell)) - ell * math.log(radius))
+    try:
+        slack = math.exp(log_prefactor + math.log(totals.flat[best]) - math.log(lhs))
+    except OverflowError:
+        raise ValueError(f"the sampled slack overflows a double at k = {k:g}, "
+                         f"ell = {ell}") from None
     return CauchyTransferReport(k=k, ell=ell, radius=radius,
                                 n_samples=samples.size, lhs=lhs,
-                                rhs_sampled=prefactor * float(totals.flat[best]),
-                                prefactor=prefactor,
+                                log_prefactor=log_prefactor, slack=slack,
                                 argmax_alpha=complex(samples.flat[best]))
 
 

@@ -1,15 +1,18 @@
 """Critical-line zero localization, count verification, and the zero-cache format.
 
-The sweep samples Hardy's Z at step <= 0.05 over every Gram interval, one
-grid per 256 intervals, and brackets its sign changes.  The same samples
-mark the good Gram points, which bound the Rosser blocks; a block short of
-sign changes is searched on finer grids down to step 1e-4.  The scan runs
-on through the Turing tail past t_max, which proves the count (see
-_counted_brackets).  The brackets below t_max are refined together by
-Newton steps kept inside them (see _refine), each bracket on one route whose
-committed error is within refine_tol/4, so the recorded residual |Z(gamma)|
-is within refine_tol/4 of the true one: Riemann-Siegel from about t = 1,650
-at the default refine_tol, and Euler-Maclaurin below.
+The sweep evaluates Hardy's Z at the Gram points first; each sign it reads
+must clear its committed error.  The good Gram points bound the Rosser
+blocks.  A block of one Gram interval is its own bracket [g_n, g_{n+1}];
+only the intervals of longer blocks are sampled at step <= 0.05, and a
+block still short of sign changes is searched on finer grids down to step
+1e-4.  The Gram points run on through the Turing tail past t_max, which
+proves the count (see _counted_brackets).  Every bracket carries Z and its
+committed error at its ends.  The brackets below t_max are refined together
+by Newton steps kept inside them (see _refine), each bracket on one route
+whose committed error is within refine_tol/4, so the recorded residual
+|Z(gamma)| is within refine_tol/4 of the true one: Riemann-Siegel from about
+t = 1,650 at the default refine_tol, and Euler-Maclaurin below, after
+Riemann-Siegel first steps from t = 200 up.
 
 Zeros are found by sign change, so only zeros of odd order on the line show;
 the Turing count proves that every zero up to g_n is one of them.  An
@@ -47,6 +50,8 @@ _ROOT_MAXITER = 100
 # ordinate resolves a zero only to half an ulp, which leaves |Z(gamma)| up to
 # |Z'(gamma)| ulp(gamma)/2, 3e-10 near t = 1e5
 _RESIDUAL_FLOOR = 1e-9
+# a sign-change bracket: its ends, and Z and Z's committed error at them
+_BRACKET = np.dtype([("t", np.float64, 2), ("z", np.float64, 2), ("err", np.float64, 2)])
 
 
 class CacheFormatError(ValueError):
@@ -70,6 +75,18 @@ class UnresolvedBlockError(RuntimeError):
         super().__init__(
             f"Rosser block ({t_lo:.6f}, {t_hi:.6f}) is short of {deficit} sign "
             "change(s) after search to step 1e-4")
+
+
+class UnprovedSignError(RuntimeError):
+    """|Z| at Gram point g_n is within its committed error, so the sign that
+    the count reads there is not proved; g_{-1} stands for the sweep's start
+    t = 10."""
+
+    def __init__(self, n: int, t: float, z: float, err: float):
+        self.n, self.t, self.z, self.err = n, t, z, err
+        super().__init__(
+            f"sign of Z at Gram point g_{n} = {t:.6f} is unproved: |Z| = "
+            f"{abs(z):.3e} is within its committed error {err:.3e}")
 
 
 class RefinementShortfallError(RuntimeError):
@@ -198,50 +215,78 @@ def _gram_points_upto(t_max: float) -> np.ndarray:
     return grams[: int(np.searchsorted(grams, t_max)) + 1]
 
 
-def _scan(edges: np.ndarray, step: float = _SCAN_STEP
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Z at edges[1:], the sign-change brackets, and each bracket's interval.
+def _proved_z(edges: np.ndarray, n0: int) -> tuple[np.ndarray, np.ndarray]:
+    """Z and its committed error at the Gram points edges = g_{n0}, g_{n0+1},
+    ...; raises UnprovedSignError where |Z| does not exceed the error."""
+    z, err = hardy_z_grid(edges)
+    unproved = np.flatnonzero(np.abs(z) <= err)
+    if unproved.size:
+        i = int(unproved[0])
+        raise UnprovedSignError(n0 + i, float(edges[i]), float(z[i]), float(err[i]))
+    return z, err
 
-    Each window of _WINDOW intervals is one grid: interval i holds the points
-    of np.linspace(edges[i], edges[i + 1]) at spacing <= step, its ends
-    shared with its neighbours.
+
+def _pairs(ts: np.ndarray, zs: np.ndarray, errs: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """The brackets [ts[i], ts[i + 1]], i in left, with Z and its committed
+    error at both ends."""
+    out = np.empty(left.size, dtype=_BRACKET)
+    for field, values in (("t", ts), ("z", zs), ("err", errs)):
+        out[field] = np.column_stack((values[left], values[left + 1]))
+    return out
+
+
+def _scan(edges: np.ndarray, z: np.ndarray, err: np.ndarray, intervals: np.ndarray,
+          step: float = _SCAN_STEP) -> tuple[np.ndarray, np.ndarray]:
+    """Sign-change brackets of Z on one grid over the Gram intervals
+    [edges[i], edges[i + 1]], i in the ascending array intervals, and the
+    interval of each bracket.
+
+    Interval i holds the points of np.linspace(edges[i], edges[i + 1]) at
+    spacing <= step.  Z at its ends is known, z[i] and z[i + 1] with errors
+    err[i] and err[i + 1], so hardy_z_grid takes the inner points alone.
     """
-    z_edges, brackets, where = [], [], []
-    for w0 in range(0, edges.size - 1, _WINDOW):
-        e = edges[w0:w0 + _WINDOW + 1]
-        width = np.diff(e)
-        n = np.maximum(1, np.ceil(width / step).astype(np.int64))
-        first = np.concatenate(([0], np.cumsum(n)))     # sample index of each edge
-        interval = np.repeat(np.arange(n.size), n)
-        j = np.arange(interval.size) - first[interval]
-        ts = np.append(j * (width / n)[interval] + e[interval], e[-1])
-        zs, _ = hardy_z_grid(ts)
-        flips = np.flatnonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)
-        z_edges.append(zs[first[1:]])
-        brackets.append(np.column_stack((ts[flips], ts[flips + 1])))
-        where.append(w0 + interval[flips])
-    return np.concatenate(z_edges), np.concatenate(brackets), np.concatenate(where)
+    lo = edges[intervals]
+    width = edges[intervals + 1] - lo
+    n = np.maximum(1, np.ceil(width / step).astype(np.int64))
+    first = np.concatenate(([0], np.cumsum(n + 1)))    # sample index of each lower end
+    interval = np.repeat(np.arange(n.size), n + 1)
+    j = np.arange(interval.size) - first[interval]
+    ts = j * (width / n)[interval] + lo[interval]
+    zs, es = np.empty(ts.size), np.empty(ts.size)
+    inner = np.ones(ts.size, dtype=bool)
+    for ends, k in ((first[:-1], intervals), (first[1:] - 1, intervals + 1)):
+        ts[ends], zs[ends], es[ends], inner[ends] = edges[k], z[k], err[k], False
+    zs[inner], es[inner] = hardy_z_grid(ts[inner])
+    flips = np.flatnonzero((np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)
+                           & (interval[:-1] == interval[1:]))
+    return _pairs(ts, zs, es, flips), intervals[interval[flips]]
 
 
-def _search(edges: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Brackets of the short Rosser block edges[a]..edges[b]: the ladder's
-    steps, one Gram interval per hardy_z_grid call, until b - a are found."""
+def _search(edges: np.ndarray, z: np.ndarray, err: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Brackets of the short Rosser block edges[a]..edges[b]: one grid over
+    its intervals per step of the ladder, until b - a are found."""
     for step in _LADDER:
-        found = np.concatenate([_scan(edges[i:i + 2], step)[1] for i in range(a, b)])
-        if len(found) >= b - a:
+        found, _ = _scan(edges, z, err, np.arange(a, b), step)
+        if found.size >= b - a:
             return found
-    raise UnresolvedBlockError(float(edges[a]), float(edges[b]), b - a - len(found))
+    raise UnresolvedBlockError(float(edges[a]), float(edges[b]), b - a - found.size)
 
 
 def _counted_brackets(t_max: float) -> np.ndarray:
-    """Sign-change brackets of Z from t = 10 through the Turing tail.
+    """Sign-change brackets of Z from t = 10 through the Turing tail, with Z
+    and its committed error at their ends (a _BRACKET array).
 
-    g_n is good when (-1)^n Z(g_n) > 0, and t = 10 counts as good since
-    N(10) = 0.  A Rosser block of k Gram intervals between two good points
-    should hold k sign changes: a short one is searched, and one that ends
-    with another count raises UnresolvedBlockError.  The scan goes on past
+    Z is evaluated at the Gram points first, each sign proved by its
+    committed error (else UnprovedSignError).  g_n is good when
+    (-1)^n Z(g_n) > 0, and t = 10 counts as good since N(10) = 0.  A Rosser
+    block of k Gram intervals between two good points should hold k sign
+    changes.  A block of one interval is its own bracket [g_n, g_{n+1}]:
+    its ends are good, so Z changes sign across it.  The intervals of longer
+    blocks are sampled at step <= 0.05 (_scan, at most _WINDOW intervals per
+    grid); a block short of sign changes is searched on finer grids, and one
+    with too many raises UnresolvedBlockError.  The Gram points go on past
     the first good g_n >= t_max until K = max(2, ceil(0.0061 log^2 g +
-    0.08 log g)) Rosser blocks have closed, g the last Gram point scanned.
+    0.08 log g)) Rosser blocks have closed, g the last Gram point taken.
 
     R. P. Brent, Math. Comp. 33 (1979) 1361-1372, Theorem 3.2, as read here:
     if K consecutive Rosser blocks with union [g_n, g_p) each hold at least
@@ -249,59 +294,102 @@ def _counted_brackets(t_max: float) -> np.ndarray:
     0.08 log(g_p), then N(g_n) <= n + 1 (Turing's method, Proc. London Math.
     Soc. (3) 3 (1953) 99-117; its bound on the integral of S(t) is Lehman's,
     stated for t >= 168 pi).  With n + 1 sign changes below g_n, N(g_n) =
-    n + 1: every zero up to g_n is simple, on the line and found.
+    n + 1: every zero up to g_n is simple, on the line and found, and a
+    block of one interval holds exactly one.
     """
-    edges, z_gram = np.array([_SWEEP_START]), np.empty(0)
-    brackets, where = np.empty((0, 2)), np.empty(0, dtype=np.int64)
-    more = _gram_points_upto(t_max)
-    while more.size:
-        z, new, w = _scan(np.concatenate((edges[-1:], more)))
-        brackets = np.concatenate((brackets, new))
-        where = np.concatenate((where, w + edges.size - 1))
-        edges, z_gram = np.concatenate((edges, more)), np.concatenate((z_gram, z))
-        # z_gram[n] is Z(g_n), and g_n is edges[n + 1]
-        good = np.flatnonzero(np.where(np.arange(z_gram.size) % 2, -z_gram, z_gram) > 0)
-        good = np.concatenate(([0], 1 + good))
+    # edges[i] is g_{i-1}; edges[0] is the sweep's start
+    edges = np.concatenate(([_SWEEP_START], _gram_points_upto(t_max)))
+    z, err = _proved_z(edges, -1)
+    while True:
+        good = np.flatnonzero(np.where(np.arange(z.size) % 2, z, -z) > 0)
+        good = np.concatenate(([0], good[good > 0]))
         tail = good[edges[good] >= t_max]
         blocks = max(2, math.ceil(0.0061 * math.log(edges[-1]) ** 2 + 0.08 * math.log(edges[-1])))
-        more = _gram_points(np.arange(z_gram.size, z_gram.size + blocks + 1 - tail.size))
+        if tail.size > blocks:
+            break
+        more = _gram_points(np.arange(edges.size - 1, edges.size + blocks - tail.size))
+        z_more, err_more = _proved_z(more, edges.size - 1)
+        edges, z, err = (np.concatenate(pair) for pair in
+                         ((edges, more), (z, z_more), (err, err_more)))
     good = good[good <= tail[blocks]]
-    total = np.concatenate(([0], np.cumsum(np.bincount(where, minlength=edges.size))))
     start, end = good[:-1], good[1:]
+    # t = 10 counts as good whatever the sign of Z there
+    single = start[end - start == 1]
+    single = single[np.sign(z[single]) * np.sign(z[single + 1]) < 0]
+    longer = np.flatnonzero(np.repeat(end - start > 1, end - start))
+    scanned = [_scan(edges, z, err, longer[w:w + _WINDOW])
+               for w in range(0, longer.size, _WINDOW)]
+    brackets = np.concatenate([_pairs(edges, z, err, single)] + [s[0] for s in scanned])
+    where = np.concatenate([single] + [s[1] for s in scanned])
+    total = np.concatenate(([0], np.cumsum(np.bincount(where, minlength=edges.size))))
     deficit = (end - start) - (total[end] - total[start])
     kept, found = np.ones(where.size, dtype=bool), []
     for a, b, d in zip(start[deficit != 0], end[deficit != 0], deficit[deficit != 0]):
         if d < 0:
             raise UnresolvedBlockError(float(edges[a]), float(edges[b]), int(d))
         kept &= (where < a) | (where >= b)
-        found.append(_search(edges, a, b))
+        found.append(_search(edges, z, err, a, b))
     brackets = np.concatenate([brackets[kept]] + found)
-    return brackets[np.argsort(brackets[:, 0])]
+    return brackets[np.argsort(brackets["t"][:, 0])]
 
 
-def _refine(brackets, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Root of Z in every sign-change bracket and its residual |Z|, all
-    brackets advanced together by Newton steps.
+def _step(x, z, dz, a, b, fa, sure):
+    """Where sure, x moves the end of its sign to x.  Returns the new a, b
+    and fa, and the next point: the Newton step, or the midpoint where that
+    step leaves the closed bracket."""
+    low = sure & (np.sign(z) == np.sign(fa))
+    a, fa, b = np.where(low, x, a), np.where(low, z, fa), np.where(sure & ~low, x, b)
+    step = x - z / dz
+    return a, b, fa, np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
 
-    Each bracket takes one route, read from hardy_z_grid's committed error
-    at its two ends: Riemann-Siegel (rs_z_with_deriv) where both are within
-    the target refine_tol/4 and t >= 200, from about t = 1,650 at the
-    default refine_tol; Euler-Maclaurin (em_z_with_deriv) elsewhere.  The
-    first point is the false-position point of the ends.  Each value moves
-    the end of its sign, and a Newton step that leaves the closed bracket
-    becomes the midpoint.  The brackets are disjoint and ascending, so each
-    route's points are ascending too.  A bracket stops when |Z| <= the
-    target, or when its next point is one of its ends: a double splits it
-    no further.  Its root is the point with the smallest |Z| on its route.
+
+def _rs_first_steps(x, a, b, fa):
+    """Riemann-Siegel Newton steps in brackets that finish on Euler-Maclaurin,
+    all together.  An end moves only on a sign whose |Z| exceeds RS's
+    committed error.  A bracket stops after its first point whose |Z| does
+    not, taking that point's Newton step, or when its next point is one of
+    its ends.  Returns the next point, a, b and fa of every bracket."""
+    idx = np.arange(x.size)
+    for _ in range(_ROOT_MAXITER):
+        if idx.size == 0:
+            return x, a, b, fa
+        z, dz, err = zetafn.rs_z_with_deriv(x[idx])
+        sure = np.abs(z) > err
+        a[idx], b[idx], fa[idx], x[idx] = _step(x[idx], z, dz, a[idx], b[idx], fa[idx], sure)
+        idx = idx[sure & (x[idx] != a[idx]) & (x[idx] != b[idx])]
+    raise RuntimeError(f"Newton steps did not converge in {_ROOT_MAXITER} "
+                       f"iterations near t = {x[idx[0]]}")
+
+
+def _refine(brackets: np.ndarray, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Root of Z in every sign-change bracket (a _BRACKET array) and its
+    residual |Z|, all brackets advanced together by Newton steps.
+
+    Each bracket takes one route, read from the committed errors carried at
+    its two ends: Riemann-Siegel (rs_z_with_deriv) where both are within the
+    target refine_tol/4 and t >= 200, from about t = 1,650 at the default
+    refine_tol; Euler-Maclaurin (em_z_with_deriv) elsewhere.  The first
+    point is the false-position point of the ends.  A bracket from t = 200
+    up that finishes on Euler-Maclaurin first takes Riemann-Siegel steps
+    (_rs_first_steps), whose values count for no root.  On the route, each
+    value moves the end of its sign, and a Newton step that leaves the
+    closed bracket becomes the midpoint.  The brackets are disjoint and
+    ascending, so each route's points are ascending too.  A bracket stops
+    when |Z| <= the target, or when its next point is one of its ends: a
+    double splits it no further.  Its root is the point with the smallest
+    |Z| on its route.
     """
     target = 0.25 * refine_tol
-    a, b = np.array(brackets, dtype=np.float64).reshape(-1, 2).T
-    f, err = hardy_z_grid(np.column_stack((a, b)).ravel())
-    fa, fb = f[0::2], f[1::2]
-    rs = (np.maximum(err[0::2], err[1::2]) <= target) & (a >= zetafn._RS_CUTOVER)
+    a, b = brackets["t"].T.copy()
+    fa, fb = brackets["z"].T.copy()
+    above = a >= zetafn._RS_CUTOVER
+    rs = (brackets["err"].max(axis=1) <= target) & above
+    x = b - fb * (b - a) / (fb - fa)
+    first = np.flatnonzero(above & ~rs)
+    x[first], a[first], b[first], fa[first] = _rs_first_steps(
+        x[first], a[first], b[first], fa[first])
     root, residual = np.empty(a.size), np.full(a.size, math.inf)
     idx = np.arange(a.size)
-    x = b - fb * (b - a) / (fb - fa)
     for _ in range(_ROOT_MAXITER):
         if idx.size == 0:
             return root, residual
@@ -309,14 +397,10 @@ def _refine(brackets, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
         for mask, route in ((rs[idx], zetafn.rs_z_with_deriv),
                             (~rs[idx], zetafn.em_z_with_deriv)):
             if mask.any():
-                z[mask], dz[mask] = route(x[mask])
+                z[mask], dz[mask] = route(x[mask])[:2]
         better = np.abs(z) < residual[idx]
         root[idx[better]], residual[idx[better]] = x[better], np.abs(z[better])
-        low = np.sign(z) == np.sign(fa)
-        a, fa = np.where(low, x, a), np.where(low, z, fa)
-        b = np.where(low, b, x)
-        step = x - z / dz
-        x = np.where((a <= step) & (step <= b), step, 0.5 * (a + b))
+        a, b, fa, x = _step(x, z, dz, a, b, fa, True)
         go = (np.abs(z) > target) & (x != a) & (x != b)
         idx, a, b, fa, x = idx[go], a[go], b[go], fa[go], x[go]
     raise RuntimeError(f"Newton steps did not converge in {_ROOT_MAXITER} "
@@ -326,22 +410,28 @@ def _refine(brackets, refine_tol: float) -> tuple[np.ndarray, np.ndarray]:
 def sweep(t_max: float, refine_tol: float = 1e-10) -> ZeroCache:
     """Locate all zeros with 0 < gamma <= t_max, their count proved.
 
-    t_max down to 10.5 is accepted (an empty result below the first zero is
-    legitimate); the supported ceiling is 1e5.  Raises UnresolvedBlockError
-    for a Rosser block short of zeros, and RefinementShortfallError when the
-    Newton steps leave a residual above refine_tol.  Two floors can put a
-    small tolerance out of reach.  Below the Riemann-Siegel crossover the
-    steps run on Euler-Maclaurin, whose rounding noise grows with t (1e-12
-    fails near t = 2,000).  And a double ordinate resolves a zero only to half an
-    ulp: |Z(gamma)| can stay at |Z'(gamma)| ulp(gamma)/2, up to 3e-10 near
-    t = 1e5, so the default sweep(1e5) raises for 2,237 of its 138,069 zeros.
+    Z is evaluated at the Gram points, a block of one Gram interval is its
+    own bracket, and only longer Rosser blocks are sampled at step 0.05
+    (see _counted_brackets); then Newton steps refine every bracket (see
+    _refine).  t_max down to 10.5 is accepted (an empty result below the
+    first zero is legitimate); the supported ceiling is 1e5.  Raises
+    UnprovedSignError where |Z| at a Gram point does not clear its committed
+    error, UnresolvedBlockError for a Rosser block short of zeros, and
+    RefinementShortfallError when the Newton steps leave a residual above
+    refine_tol.  Two floors can put a small tolerance out of reach.  Below
+    the Riemann-Siegel crossover the steps finish on Euler-Maclaurin, whose
+    rounding noise grows with t (1e-12 fails near t = 2,000).  And a double
+    ordinate resolves a zero only to half an ulp: |Z(gamma)| can stay at
+    |Z'(gamma)| ulp(gamma)/2, up to 3e-10 near t = 1e5, so the default
+    sweep(1e5) raises for 2,237 of its 138,069 zeros.
     """
     if not (10.5 <= t_max <= 1e5):
         raise DomainError(f"t_max must lie in [10.5, 1e5] (got {t_max})")
     if not 1e-12 <= refine_tol < math.inf:
         raise DomainError(f"refine_tol must be finite and >= 1e-12 (got {refine_tol})")
     brackets = _counted_brackets(t_max)
-    gammas, residuals = _refine(brackets[brackets[:, 0] <= t_max], refine_tol)
+    brackets = brackets[brackets["t"][:, 0] <= t_max]
+    gammas, residuals = _refine(brackets, refine_tol)
     kept = gammas <= t_max
     cache = ZeroCache(t_max, gammas[kept], residuals[kept], refine_tol)
     short = int((cache.residuals > refine_tol).sum())

@@ -28,7 +28,8 @@ Evaluation strategy:
   the anchor t0, the multiple of 16 below t, and t0 log k are formed in
   double-double and reduced mod 2 pi; only the small rest, d log k with
   d = t - t0 and theta(t) less that growth, is formed in double.
-  ``rs_z_with_deriv`` is the same route with dZ/dt, for the sweep.
+  ``rs_z_with_deriv`` is the same route with dZ/dt, for the sweep's
+  Newton steps, and returns the committed error too.
   The correction functions are built from an exact power series for
   psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), an entire function, so
   its derivatives up to the twelfth are evaluated stably; each C_r is even
@@ -86,6 +87,9 @@ _B2K = tuple(Fraction(p, q) for p, q in (
 _EM_TERMS = 24          # Bernoulli corrections actually summed
 _EM_MIN_LENGTH = 30     # shortest main sum; see em_truncation
 _DERIV_ERR_FACTOR = 3.0  # log N growth allowance per derivative order; audited
+# rounding of the pole tail per unit of n^(1-sigma)/|s-1|: at most 6.9e-16
+# against mpmath at 3,000 points with 1e-9 <= |s-1| < 1 and sigma >= 0.3
+_POLE_NOISE = 1.5e-15
 
 
 def _em_coefficients():
@@ -268,7 +272,16 @@ def _zeta_em_batch(sigma: float, ts: np.ndarray, n_terms: int, max_order: int):
     amp_sum = float(amp.sum()) + n ** (-sigma) * (0.5 + n / max(1.0, abs(sigma - 1.0)))
     fp = 4e-16 * amp_sum + 2.5e-15 * np.abs(ts) * math.log(n) + 1e-15
     growth = math.log(n) + _DERIV_ERR_FACTOR
-    return values, [(trunc + fp) * growth ** j for j in range(max_order + 1)]
+    errs = [(trunc + fp) * growth ** j for j in range(max_order + 1)]
+    if abs(sigma - 1.0) < 1.0 and ts.min(initial=math.inf) < 1.0:
+        # Within |s - 1| < 1 the pole tail N^(1-s)/(s-1) outgrows the
+        # amplitude sum: its rounding, of size n^(1-sigma)/|s-1|, and that
+        # of its derivatives, at most (log n + 3 + 2/|s-1|)^j times more,
+        # is counted there.  The pole term is 0 from |s - 1| = 1 out.
+        dist = np.hypot(sigma - 1.0, ts)
+        pole = _POLE_NOISE * n ** (1.0 - sigma) * np.maximum(0.0, 1.0 / dist - 1.0)
+        errs = [np.maximum(e, pole * (growth + 2.0 / dist) ** j) for j, e in enumerate(errs)]
+    return values, errs
 
 
 def _em_grid(sigma: float, ts: np.ndarray, max_order: int):
@@ -881,14 +894,15 @@ def em_z_with_deriv(ts: np.ndarray):
 
 
 def rs_z_with_deriv(ts: np.ndarray):
-    """(Z, dZ/dt) on hardy_z_grid's Riemann-Siegel route for an array of
-    heights t >= 200; the sweep's Newton steps take it wherever that
-    route's committed error meets their target."""
+    """(Z, dZ/dt, committed error of Z) on hardy_z_grid's Riemann-Siegel
+    route for ascending heights t >= 200.  The sweep's Newton steps finish
+    on it wherever the error meets their target, and take their first steps
+    on it below that height."""
     ts = np.asarray(ts, dtype=np.float64)
     if not (np.all(ts >= _RS_CUTOVER) and np.all(np.diff(ts) >= 0.0)):
         raise DomainError(f"rs_z_with_deriv needs ascending heights >= {_RS_CUTOVER:g}")
-    z, _, dz = _rs_z(ts, 1)
-    return z, dz
+    z, err, dz = _rs_z(ts, 1)
+    return z, dz, err
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -167,7 +168,30 @@ class TestCauchyTransfer:
         lt = math.log(1000.0)
         rep_half = cauchy_transfer_report(cache1000, 1, 1, 0.5 / lt)
         rep_full = cauchy_transfer_report(cache1000, 1, 1, 1.0 / lt)
-        assert rep_half.prefactor == pytest.approx(4.0 * rep_full.prefactor)
+        assert math.exp(rep_half.log_prefactor - rep_full.log_prefactor) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("k, ell", [(1, 1), (2, 2), (80, 2), (150, 1)])
+    def test_slack_against_big_floats(self, cache1000, k, ell):
+        # (ell!/r^ell)^(2k) overflows a double at k = 80, ell = 2, and the
+        # right-hand side at k = 150, ell = 1; the slack stays finite
+        radius = 1.0 / math.log(1000.0)
+        rep = cauchy_transfer_report(cache1000, k, ell, radius)
+        table = cache1000.shift_table
+        total = max(mpmath.fsum(mpmath.mpf(float(v)) ** (2 * k)
+                                for v in np.abs(table.values(alpha)))
+                    for alpha in moments._disk_samples(radius).ravel()[::8])
+        lhs = mpmath.fsum(mpmath.mpf(float(v)) ** (2 * k)
+                          for v in np.abs(table.values(0.0, ell)))
+        prefactor = (mpmath.factorial(ell) / mpmath.mpf(radius) ** ell) ** (2 * k)
+        assert rep.lhs == pytest.approx(float(lhs), rel=1e-12)
+        assert math.isfinite(rep.slack)
+        # a sixteenth of the shifts bounds the sampled maximum from below
+        assert rep.slack >= float(prefactor * total / lhs) * (1.0 - 1e-12)
+
+    def test_slack_overflow_raises_value_error(self, cache1000):
+        # the sums stay finite, but the slack grows like radius^(-4k) at ell = 3
+        with pytest.raises(ValueError, match="slack overflows"):
+            cauchy_transfer_report(cache1000, 1, 3, 1e-100)
 
     def test_slack_at_t1000(self, cache1000):
         lt = math.log(1000.0)

@@ -110,20 +110,62 @@ class TestRosserBlocks:
         assert t_max <= info.value.t_lo < lo < hi < info.value.t_hi
 
     def test_scan_is_linspace_per_gram_interval(self):
-        # reference: one np.linspace grid and one hardy_z_grid call per interval
+        # reference: one np.linspace grid and one hardy_z_grid call per
+        # interval, on intervals in runs of two with gaps between, as the
+        # longer Rosser blocks lie among blocks of one interval
         edges = np.concatenate(([zeros._SWEEP_START], zeros._gram_points_upto(1000.0)))
-        z_gram, brackets, where = zeros._scan(edges)
-        ref, ref_where, ref_z = [], [], []
-        for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        z, err = hardy_z_grid(edges)
+        intervals = np.flatnonzero(np.arange(edges.size - 1) % 5 < 2)
+        brackets, where = zeros._scan(edges, z, err, intervals)
+        ref, ref_where = [], []
+        for i in intervals:
+            lo, hi = edges[i], edges[i + 1]
             ts = np.linspace(lo, hi, max(2, math.ceil((hi - lo) / zeros._SCAN_STEP) + 1))
-            zs, _ = hardy_z_grid(ts)
+            zs, es = hardy_z_grid(ts)
+            assert zs[0] == z[i] and zs[-1] == z[i + 1]
             flips = np.flatnonzero(np.sign(zs[:-1]) * np.sign(zs[1:]) < 0)
-            ref += [(ts[f], ts[f + 1]) for f in flips]
+            ref += [((ts[f], ts[f + 1]), (zs[f], zs[f + 1]), (es[f], es[f + 1]))
+                    for f in flips]
             ref_where += [i] * flips.size
-            ref_z.append(zs[-1])
-        assert np.array_equal(brackets, np.array(ref))
+        assert len(ref) > 100
+        assert np.array_equal(brackets, np.array(ref, dtype=zeros._BRACKET))
         assert np.array_equal(where, ref_where)
-        assert np.array_equal(z_gram, ref_z)
+
+    def test_blocks_of_one_interval_are_their_own_brackets(self):
+        # between two good Gram points g_n, g_{n+1} the bracket is exactly
+        # [g_n, g_{n+1}], with Z and its error at the Gram points carried
+        grams = zeros._gram_points_upto(1000.0)
+        z, err = hardy_z_grid(grams)
+        good = (-1.0) ** np.arange(grams.size) * z > 0
+        single = np.flatnonzero(good[:-1] & good[1:])
+        brackets = zeros._counted_brackets(1000.0)
+        rows = {tuple(t): k for k, t in enumerate(brackets["t"].tolist())}
+        for n in single.tolist():
+            k = rows[(grams[n], grams[n + 1])]
+            assert brackets["z"][k].tolist() == [z[n], z[n + 1]]
+            assert brackets["err"][k].tolist() == [err[n], err[n + 1]]
+        # 604 brackets are such Gram intervals; [10, g_0] and the Turing
+        # tail's give 3 more, and the step-0.05 grids of the longer blocks 44
+        assert single.size == 604
+        edges = np.concatenate(([zeros._SWEEP_START], zeros._gram_points(np.arange(grams.size + 9))))
+        whole = np.isin(brackets["t"], edges).all(axis=1)
+        assert np.count_nonzero(whole) == 607
+        assert np.all(whole | (np.diff(brackets["t"], axis=1)[:, 0] <= zeros._SCAN_STEP))
+        assert len(brackets) == 651
+
+    def test_unproved_gram_sign_raises(self, monkeypatch):
+        # a committed error that swallows |Z| at one Gram point stops the sweep
+        g = zeros.gram_point(40)
+        real = zeros.hardy_z_grid
+
+        def loose(ts):
+            z, err = real(ts)
+            return z, np.where(ts == g, 2.0 * np.abs(z), err)
+
+        monkeypatch.setattr(zeros, "hardy_z_grid", loose)
+        with pytest.raises(zeros.UnprovedSignError, match="g_40 =") as info:
+            zeros.sweep(300.0)
+        assert (info.value.n, info.value.t) == (40, g)
 
     def test_no_block_searched_to_1000(self, monkeypatch):
         searched = []
@@ -138,10 +180,11 @@ class TestRefine:
         # the crossover near t = 1,650, Riemann-Siegel above it; mpmath's
         # zetazero is the reference at seeded zeros on either side
         brackets = zeros._counted_brackets(3000.0)
-        brackets = brackets[brackets[:, 0] <= 3000.0]
+        brackets = brackets[brackets["t"][:, 0] <= 3000.0]
         roots, residuals = zeros._refine(brackets, 1e-10)
         assert roots.size == len(brackets)
-        assert np.all((brackets[:, 0] <= roots) & (roots <= brackets[:, 1]))
+        lo, hi = brackets["t"].T
+        assert np.all((lo <= roots) & (roots <= hi))
         assert residuals.max() <= 2.5e-11
         rng = np.random.default_rng(16)
         sample = []
@@ -156,24 +199,36 @@ class TestRefine:
 class TestPolish:
     def test_routes_split_at_the_crossover(self, monkeypatch):
         # at the default refine_tol the Riemann-Siegel route's committed
-        # error meets refine_tol/4 from t near 1,650 up: the Newton steps take
-        # Euler-Maclaurin below that height and Riemann-Siegel above it
-        heights = {"em_z_with_deriv": [], "rs_z_with_deriv": []}
+        # error meets refine_tol/4 from t near 1,650 up: the Newton steps
+        # finish on Euler-Maclaurin below that height and on Riemann-Siegel
+        # above it.  Between t = 200 and the crossover, Riemann-Siegel steps
+        # come first, all of them before the first Euler-Maclaurin step
+        calls = []
 
         def recorded(name):
             real = getattr(zetafn, name)
 
             def route(ts):
-                heights[name].append(np.array(ts))
+                calls.append((name, np.array(ts)))
                 return real(ts)
             return route
 
-        for name in heights:
+        for name in ("em_z_with_deriv", "rs_z_with_deriv"):
             monkeypatch.setattr(zetafn, name, recorded(name))
         cache = zeros.sweep(3000.0)
-        em, rs = (np.concatenate(heights[name] + [np.empty(0)]) for name in heights)
+
+        def heights(part, route):
+            return np.concatenate([ts for name, ts in part if name == route] + [np.empty(0)])
+
+        first_em = next(i for i, (name, _) in enumerate(calls) if name == "em_z_with_deriv")
+        em = heights(calls, "em_z_with_deriv")
+        rs_first = heights(calls[:first_em], "rs_z_with_deriv")
+        rs_after = heights(calls[first_em:], "rs_z_with_deriv")
         assert em.size and em.max() < 1650.0
-        assert np.all(rs > 1600.0)
+        assert np.any(rs_first < 1000.0) and rs_first.min() >= 200.0
+        assert np.all(rs_after > 1600.0)
+        # at most two Euler-Maclaurin evaluations per zero on that route
+        assert em.size <= 2.0 * np.count_nonzero(cache.gammas < em.max() + 1.0)
         assert cache.residuals.max() <= 1e-10
 
     def test_near_1e5_every_zero_meets_refine_tol_or_has_its_nearest_double(self):
@@ -183,7 +238,8 @@ class TestPolish:
         # (8 of 200 zeros), neither neighbouring double does better.  The
         # Euler-Maclaurin route left 30 above 1e-10, the largest 3.1e-10.
         edges = zeros._gram_points(np.arange(137899, 138100))
-        _, brackets, _ = zeros._scan(edges)
+        z, err = hardy_z_grid(edges)
+        brackets, _ = zeros._scan(edges, z, err, np.arange(edges.size - 1))
         assert len(brackets) == 200
         gammas, residuals = zeros._refine(brackets, 1e-10)
         above = residuals > 1e-10
