@@ -300,13 +300,6 @@ def large_value_histogram(cache: ZeroCache, k_hint: float, alpha: complex,
     return _histogram(logs, cache.t_max, alpha, k_hint, v_grid)
 
 
-def histogram_from_values(log_values, t_max: float, alpha: complex = 0.0,
-                          v_grid=None) -> LargeValueHistogram:
-    """Histogram over explicit log|zeta| values (synthetic-data entry point)."""
-    logs = np.asarray(log_values, dtype=np.float64)
-    return _histogram(logs, t_max, complex(alpha), 0.0, v_grid)
-
-
 def _histogram(logs: np.ndarray, t_max: float, alpha: complex, k_hint: float,
                v_grid) -> LargeValueHistogram:
     """Counts, bound values and per-V configuration for one set of log|zeta|.
@@ -427,11 +420,6 @@ def cauchy_transfer_report(cache: ZeroCache, k: int, ell: int,
                                 n_samples=samples.size, lhs=lhs,
                                 log_prefactor=log_prefactor, slack=slack,
                                 argmax_alpha=complex(samples.flat[best]))
-
-
-def cauchy_transfer_audit(cache: ZeroCache, k: int, ell: int, radius: float) -> float:
-    """Sampled slack RHS/LHS of the derivative-moment transfer (pass >= 0.95)."""
-    return cauchy_transfer_report(cache, k, ell, radius).slack
 
 
 # ---------------------------------------------------------------------------

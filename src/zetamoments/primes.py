@@ -201,24 +201,8 @@ def prime_sum(spec: DirichletPolySpec, s: complex,
     return _poly_sum(ps, coeff, spec.sigma_lam, t)
 
 
-def s1_s2(spec: DirichletPolySpec, gamma: float) -> tuple[complex, complex]:
-    """(S1, S2) at rho = 1/2 + i*gamma: prime sums cut at z, shift lam/log x."""
-    if spec.split_z is None:
-        raise ValueError("spec.split_z is required for the S1/S2 split")
-    s = complex(0.5, gamma)
-    short = prime_sum(spec, s, p_hi=spec.split_z)
-    tail = prime_sum(spec, s, p_lo=spec.split_z)
-    return short, tail
-
-
 def mangoldt(n: int) -> float:
     """Lambda(n) via the shared sieve (grown to cover n)."""
     if n < 1:
         raise ValueError(f"mangoldt needs n >= 1 (got {n})")
     return shared_sieve(n).mangoldt(n)
-
-
-def chebyshev_psi(x: float) -> float:
-    """psi(x) = sum_{n<=x} Lambda(n) by direct summation."""
-    nmax = int(math.floor(x))
-    return float(shared_sieve(nmax).mangoldt_table(nmax).sum())

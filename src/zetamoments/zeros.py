@@ -181,17 +181,6 @@ class ZeroCache:
             raise CacheInvariantError(f"residual outside [0, {bound:g}]")
 
 
-def gram_point(n: int) -> float:
-    """Gram point g_n with theta(g_n) = n*pi, supported for n >= 0.
-
-    g_{-1} would sit below the theta domain floor t = 10; the sweep starts
-    its first block at t = 10 instead, which still covers the first zero.
-    """
-    if n < 0:
-        raise DomainError(f"gram_point supports n >= 0 (got {n})")
-    return float(_gram_points(np.array([n]))[0])
-
-
 def _gram_points(n: np.ndarray) -> np.ndarray:
     """g_n for an array of n >= 0: Newton on theta for all of them at once."""
     target = n * math.pi
@@ -446,13 +435,6 @@ def count_audit(cache: ZeroCache) -> float:
     """N_found - (theta(T)/pi + 1); desk-scale expectation is |result| <= 2."""
     t = cache.t_max
     return len(cache) - (theta(t) / math.pi + 1.0)
-
-
-def count_main_term_deviation(cache: ZeroCache) -> float:
-    """N_found - (T/2pi log(T/2pi) - T/2pi), the coarser asymptotic check."""
-    t = cache.t_max
-    x = t / (2.0 * math.pi)
-    return len(cache) - (x * math.log(x) - x)
 
 
 def gram_interlacing_fraction(cache: ZeroCache, t_upto: float | None = None) -> float:

@@ -19,6 +19,17 @@ Evaluation strategy:
   in runs of heights that share it (``_em_grid`` on the Euler-Maclaurin
   route), so a batched value equals the scalar one bit for bit and does not
   depend on the other heights in the batch.
+* ``ZeroShiftEvaluator``, the Taylor table in alpha of zeta(rho + alpha) at
+  the zeros, takes one route per row.  Up to gamma = 2,612.8 a row is the
+  Euler-Maclaurin value above.  Above it, the Riemann-Siegel formula
+  continued to the complex height gamma - i alpha: sums of
+  floor(sqrt(gamma/2pi)) terms, with gamma log k and theta(gamma) reduced
+  mod 2 pi from double-doubles, and chi(s) = e^{-2i theta} and the
+  remainder C0..C4 sampled on the table's circle.  Such a row commits
+  three times Gabcke's bound plus the rounding, doubled by the transform
+  (``_rs_shift_error``); the crossover is where that meets the
+  Euler-Maclaurin error 2.5e-15 t log N, at t = 2,564, moved up to the next
+  truncation step.
 * ``hardy_z`` is ``hardy_z_grid`` at one point.  Below t = 200 the grid
   rotates the Euler-Maclaurin value of zeta (one routine, ``_em_z``, which
   also gives the sweep's Newton steps their dZ/dt); from t = 200 up it takes
@@ -443,38 +454,68 @@ def zeta_at_heights(gammas: np.ndarray, alpha: complex = 0.0,
 _TAYLOR_ORDER = 24
 _CIRCLE_SAMPLES = 32    # boundary-term samples per zero for the table's DFT
 _RADIUS_SLACK = 1e-15   # rounding allowance of |alpha| on the table's radius
+# A Riemann-Siegel row of the table commits 2 (3 x 0.017 t^(-11/4) + 8e-15
+# sqrt(n)) on zeta (_rs_shift_error), an Euler-Maclaurin row about
+# 2.5e-15 t log N (zeta_at_heights at alpha = 0).  Scanned at step 0.1 on
+# [1500, 4000], the two meet at t = 2,564: below it EM commits less, above
+# it RS.  Rows take RS from the first truncation step above that height,
+# em_truncation(gamma + 1) > 832 (gamma > 832 pi - 1 = 2,612.8), so each run
+# of rows that share a truncation takes one route; on the rows in between EM
+# commits at most 8% more than RS would.
+_RS_SHIFT_FROM = 2564.0
+_RS_SHIFT_BLOCK = 512   # Riemann-Siegel rows per pass: (rows, 32) complex arrays of 256 kB
 
 
 class ZeroShiftEvaluator:
     """zeta^(order)(rho + alpha) at every zero from one Taylor table in alpha.
 
-    Row i holds the order-24 Taylor coefficients about alpha = 0 of the
-    Euler-Maclaurin value of zeta(1/2 + i*gamma_i + alpha), at the truncation
-    em_truncation(gamma_i + 1):
+    Row i holds the order-24 Taylor coefficients about alpha = 0 of
+    zeta(1/2 + i*gamma_i + alpha), on one of two routes, as hardy_z_grid
+    takes one per height:
 
-    * main sum: sum_n n^{-rho} (-log n)^j / j!, taken per _bucket_runs run
-      as one real product of V^T, V[n, j] = n^{-1/2} (-log n)^j / j!, with the
-      real and imaginary parts of n^{-i gamma} from _n_pow_it;
-    * boundary terms (N^{-s}/2, the pole tail, the Bernoulli corrections):
-      the discrete Fourier transform of 32 samples on |alpha| = 2 * radius.
+    * Euler-Maclaurin, at the truncation N = em_truncation(gamma_i + 1), on
+      the rows with N <= em_truncation(_RS_SHIFT_FROM + 1), that is gamma
+      up to 2,612.8.  Main sum: sum_n n^{-rho} (-log n)^j / j!, taken per
+      _bucket_runs run as one real product of V^T, V[n, j] = n^{-1/2}
+      (-log n)^j / j!, with the real and imaginary parts of n^{-i gamma}
+      from _n_pow_it.  Boundary terms (N^{-s}/2, the pole tail, the
+      Bernoulli corrections): the discrete Fourier transform of 32 samples
+      on |alpha| = 2 * radius.  These rows agree with zeta_at_heights well
+      inside its committed error.
+    * Riemann-Siegel, continued off the line to the complex height
+      gamma_i - i alpha (_rs_shift_rows), on the rows above: two sums of
+      floor(sqrt(gamma/2pi)) <= 126 terms to t = 1e5 in place of N ~ t/pi.
+      The first sum's coefficients are V^T times its phases; the second and
+      the remainder C0..C4 take the same 32 samples and transform.  Such a
+      row commits _rs_shift_error: 2 order! E / radius^order, with E three
+      times Gabcke's bound 0.017 t^(-11/4) plus 4e-15 per unit of 2 sqrt(n).
+
+    The crossover _RS_SHIFT_FROM is where the two routes' committed errors
+    meet.  Rows are built in blocks of at most _RS_SHIFT_BLOCK heights that
+    share n, so no (rows, 32) array spans the table.
 
     The table holds for |alpha| <= radius = 1/log t_max, where |alpha| log N
     stays near 1 and the main-sum series converges superexponentially.
-    There it agrees with zeta_at_heights well inside that route's committed
-    error (to about 1e-11 relative at t = 1e4).  values() takes one shift or
-    an array of shifts and answers either with one matrix product; it
-    refuses a shift beyond the radius, which belongs to zeta_at_heights.
+    values() takes one shift or an array of shifts and answers either with
+    one matrix product; it refuses a shift beyond the radius, which belongs
+    to zeta_at_heights.
     """
 
     def __init__(self, gammas: np.ndarray, t_max: float):
         gammas = np.asarray(gammas, dtype=np.float64)
+        if not np.all(gammas <= t_max):
+            # the committed errors hold for |alpha| <= 1/log gamma
+            raise DomainError(f"the table's heights must lie at or below t_max = {t_max}")
         self.gammas = gammas
         self.radius = 1.0 / math.log(t_max)
         j = np.arange(_TAYLOR_ORDER + 1)
         self._facts = np.cumprod(np.maximum(j, 1).astype(np.float64))  # j!
-        runs = _bucket_runs(gammas + 1.0)
-        n_max = max((n for _, n in runs), default=1)
-        logn = _logn(n_max - 1)
+        rs_from = em_truncation(_RS_SHIFT_FROM + 1.0)
+        runs = [(sl, n) for sl, n in _bucket_runs(gammas + 1.0) if n <= rs_from]
+        rs_rows = np.flatnonzero(em_truncation(gammas + 1.0) > rs_from)
+        rs_lengths = np.floor(np.sqrt(gammas[rs_rows] / TWO_PI)).astype(np.int64)
+        n_max = max([n - 1 for _, n in runs] + [int(rs_lengths.max(initial=1))])
+        logn = _logn(n_max)
         v = np.exp(-0.5 * logn)[:, None] * (-logn[:, None]) ** j / self._facts
         r = 2.0 * self.radius
         w = np.exp(2j * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)[:, None]
@@ -486,6 +527,11 @@ class ZeroShiftEvaluator:
             s = (0.5 + 1j * gammas[sl]) + r * w                 # (samples, zeros)
             boundary, _ = _em_boundary(s.ravel(), n, 0)
             coeff[sl] += boundary[0].reshape(s.shape).T @ dft
+        for start, stop in _runs(rs_lengths):
+            for i in range(start, stop, _RS_SHIFT_BLOCK):
+                rows = rs_rows[i: min(i + _RS_SHIFT_BLOCK, stop)]
+                coeff[rows] = _rs_shift_rows(gammas[rows], int(rs_lengths[start]), v,
+                                             r * w[:, 0], dft)
         self._coeff = coeff
 
     def covers(self, alpha: complex | np.ndarray) -> bool:
@@ -724,12 +770,12 @@ _RS_GABCKE = 0.017  # |remainder after C4| <= this * t^(-11/4) for t >= 200
 def _rs_correction(p, max_order: int):
     """C0..C4 at p, the rows of a (5, len(p)) array, and for max_order 1
     (else None) their p-derivatives: Horner's rule in v = (p - 1/2)^2 on all
-    five rows at once."""
-    u = np.asarray(p, dtype=np.float64) - 0.5
+    five rows at once, in p's dtype (real on the line, complex off it)."""
+    u = np.asarray(p) - 0.5
     v = u * u
 
     def horner(table, odd_rows):
-        acc = np.repeat(table[:, -1:], u.size, axis=1)
+        acc = np.repeat(table[:, -1:], u.size, axis=1).astype(v.dtype, copy=False)
         for column in table.T[-2::-1]:
             acc *= v
             acc += column[:, None]
@@ -836,6 +882,88 @@ def _rs_block(ts: np.ndarray, max_order: int):
             dz[sl] -= 2.0 * (dtheta[sl] * np.einsum("ik,k->i", sines, amp)
                              - np.einsum("ik,k->i", sines, amp * hi))
     return z, err, dz
+
+
+def _log1p(z):
+    """log(1 + z) for complex z near 0; numpy's complex log1p forms 1 + z
+    and loses the low digits of z."""
+    x, y = z.real, z.imag
+    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+
+
+def _rs_shift_rows(gammas: np.ndarray, n: int, v: np.ndarray, alphas: np.ndarray,
+                   dft: np.ndarray) -> np.ndarray:
+    """ZeroShiftEvaluator's Taylor rows on the Riemann-Siegel route, for
+    heights that share n = floor(sqrt(gamma/2pi)); alphas are the table's 32
+    samples, dft its transform from them to coefficients.
+
+    With s = 1/2 + i gamma + alpha = 1/2 + i t_c, t_c = gamma - i alpha,
+
+        zeta(s) ~ M(alpha) + chi(s) sum_{k<=n} k^{s-1}
+                  + e^{-i theta(t_c)} (-1)^(n-1) eta^(1/2) sum_{r<=4} C_r(p) eta^r,
+
+    eta = (2 pi/t_c)^(1/2), p = sqrt(t_c/2pi) - n and chi(s) = e^{-2i theta(t_c)}.
+    M(alpha) = sum_{k<=n} k^{-1/2-alpha} e^{-i gamma log k} takes exact Taylor
+    coefficients, v^T times the phases, with gamma log k reduced mod 2 pi
+    from double-doubles.  The rest is sampled: the second sum at alpha is
+    conj M(-conj alpha), and -conj alpha_m = alpha_(16-m) on the circle of
+    32; theta(t_c) is theta(gamma) mod 2 pi, from double-doubles, plus the
+    difference theta(t_c) - theta(gamma) in log1p form.
+    """
+    log_hi, log_lo = _logk_dd(n)
+    p, e = _two_prod(log_hi[:, None], gammas)
+    phase = _mod_2pi(p, e + np.multiply.outer(log_lo, gammas))           # (n, rows)
+    main = v[:n].T @ np.exp(-1j * phase).view(np.float64)
+    coeff = main.view(np.complex128).T                                   # (rows, order + 1)
+    j = np.arange(coeff.shape[1])[:, None]
+    reflected = (alphas.size // 2 - np.arange(alphas.size)) % alphas.size
+    second = np.conj(coeff @ alphas[reflected] ** j)                     # (rows, samples)
+
+    l_hi, l_lo = _log_dd(gammas)
+    log0 = (l_hi - _LOG_2PI_E_HI) + (l_lo - _LOG_2PI_E_LO)              # log(gamma/2pi) - 1
+    base = _theta_growth_mod_2pi(gammas, l_hi, l_lo) + (_theta_tail(gammas) - math.pi / 8.0)
+    g = gammas[:, None]
+    delta = -1j * alphas                                                 # t_c - gamma
+    t_c = g + delta
+    # theta(t_c) - theta(gamma) = (delta/2)(log(gamma/2pi) - 1)
+    #     + (t_c/2) log(1 + delta/gamma) + the reciprocal corrections' change
+    rot = np.exp(-1j * (base[:, None] + 0.5 * delta * log0[:, None]
+                        + 0.5 * t_c * _log1p(delta / g)
+                        + (_theta_tail(t_c) - _theta_tail(g))))
+    tau = np.sqrt(t_c / TWO_PI)
+    eta = 1.0 / tau
+    rows, _ = _rs_correction((tau - n).ravel(), 0)
+    r = rows.reshape((5,) + t_c.shape)
+    corr = (1.0 if n % 2 else -1.0) * np.sqrt(eta) * (
+        r[0] + eta * (r[1] + eta * (r[2] + eta * (r[3] + eta * r[4]))))
+    return coeff + (rot * (rot * second + corr)) @ dft
+
+
+# Samples of the Riemann-Siegel zeta on |alpha| = 2 / log t, the widest
+# circle a table reaching t samples, against mpmath at 30 digits (all 32 at
+# 80 heights in [1500, 1e5]): up to t = 2e4 the error reached 1.64 times
+# Gabcke's bound for the line (off it the correction term's modulus grows
+# by (t/2pi)^(-Re alpha/2) < e), and above 3e4 the rounding, 1.2e-15 per
+# unit of 2 sqrt(n), dominated.  With 3 and 4e-15, the largest error was
+# half the committed one.
+_RS_OFFLINE = 3.0
+_RS_SAMPLE_NOISE = 4e-15
+
+
+def _rs_shift_error(ts, radius: float, order: int):
+    """Committed error of ZeroShiftEvaluator's Riemann-Siegel rows: of
+    zeta^(order)(1/2 + i t + alpha) at |alpha| <= radius, for heights ts.
+
+    A sample on |alpha| = 2 radius errs by at most E = 3 x 0.017 t^(-11/4)
+    + 4e-15 x 2 sqrt(n).  The main sum's coefficients are exact, and the
+    transform's coefficient j errs by at most E (2 radius)^(-j); summed over
+    j at |alpha| <= radius, the order-th derivative errs by at most
+    2 order! E / radius^order.
+    """
+    ts = np.asarray(ts, dtype=np.float64)
+    n = np.floor(np.sqrt(ts / TWO_PI))
+    sample = _RS_OFFLINE * _RS_GABCKE * ts ** -2.75 + _RS_SAMPLE_NOISE * 2.0 * np.sqrt(n)
+    return 2.0 * math.factorial(order) * sample / radius ** order
 
 
 def _em_z(ts: np.ndarray, max_order: int):
@@ -984,6 +1112,11 @@ def _chi_parts(s: complex):
     w = z if abs(z) >= _STIRLING_SHIFT else complex(_STIRLING_SHIFT)
     mag = (abs(s) * math.log(2.0) + abs(s - 1.0) * math.log(math.pi)
            + abs((w - 0.5) * cmath.log(w)) + abs(w))
+    if z.real <= 0.0 and z.imag > -20.0:
+        # log_gamma reflects through sin(pi z): the rounding of pi z enters
+        # its log as pi |z| / |sin(pi z)|, which grows by the poles at
+        # z = 0, -1, -2, ... (beyond |Im z| = 20 it is below 1e-25)
+        mag += math.pi * abs(z) / abs(cmath.sin(math.pi * z))
     return lg, mag
 
 

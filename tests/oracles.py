@@ -237,3 +237,56 @@ def em_boundary_loop(s, n, max_order: int, terms: int = 12):
     bound = (abs(_B2K[terms]) / fact) * np.abs(prod) * n ** (-s.real - m2 - 1) \
         * np.abs(s + m2 + 1) / (s.real + m2 + 1)
     return out, bound
+
+
+# ---------------------------------------------------------------------------
+# Entry points that only tests call.  Unlike the oracles above, these run
+# the package's own code: each is a thin wrapper or a closed formula.
+
+
+def gram_point(n: int) -> float:
+    """Gram point g_n with theta(g_n) = n*pi, for n >= 0."""
+    import numpy as np
+
+    from zetamoments import zeros
+    if n < 0:
+        raise zeros.DomainError(f"gram_point supports n >= 0 (got {n})")
+    return float(zeros._gram_points(np.array([n]))[0])
+
+
+def count_main_term_deviation(cache) -> float:
+    """N_found - (T/2pi log(T/2pi) - T/2pi), the coarser asymptotic check."""
+    x = cache.t_max / (2.0 * math.pi)
+    return len(cache) - (x * math.log(x) - x)
+
+
+def histogram_from_values(log_values, t_max: float, alpha: complex = 0.0, v_grid=None):
+    """moments' large-value histogram over explicit log|zeta| values."""
+    import numpy as np
+
+    from zetamoments import moments
+    logs = np.asarray(log_values, dtype=np.float64)
+    return moments._histogram(logs, t_max, complex(alpha), 0.0, v_grid)
+
+
+def cauchy_transfer_audit(cache, k: int, ell: int, radius: float) -> float:
+    """Sampled slack RHS/LHS of the derivative-moment transfer (pass >= 0.95)."""
+    from zetamoments import moments
+    return moments.cauchy_transfer_report(cache, k, ell, radius).slack
+
+
+def chebyshev_psi(x: float) -> float:
+    """psi(x) = sum_{n<=x} Lambda(n) from the package's shared sieve."""
+    from zetamoments import primes
+    nmax = int(math.floor(x))
+    return float(primes.shared_sieve(nmax).mangoldt_table(nmax).sum())
+
+
+def s1_s2(spec, gamma: float) -> tuple[complex, complex]:
+    """(S1, S2) at rho = 1/2 + i*gamma: prime sums cut at z, shift lam/log x."""
+    from zetamoments import primes
+    if spec.split_z is None:
+        raise ValueError("spec.split_z is required for the S1/S2 split")
+    s = complex(0.5, gamma)
+    return (primes.prime_sum(spec, s, p_hi=spec.split_z),
+            primes.prime_sum(spec, s, p_lo=spec.split_z))

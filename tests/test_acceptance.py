@@ -23,6 +23,8 @@ from zetamoments.campaign import CampaignConfig
 from zetamoments.primes import DirichletPolySpec
 from zetamoments.zetafn import CONSTANTS
 
+from .oracles import cauchy_transfer_audit
+
 GAMMA_1 = 14.134725141734693
 
 
@@ -113,8 +115,8 @@ def test_criterion_4_shifted_moment_growth(cache1000, cache10k):
 
 def test_criterion_5_cauchy_transfer(cache10k):
     radius = 1.0 / math.log(cache10k.t_max)
-    slack_11 = moments.cauchy_transfer_audit(cache10k, 1, 1, radius)
-    slack_12 = moments.cauchy_transfer_audit(cache10k, 1, 2, radius)
+    slack_11 = cauchy_transfer_audit(cache10k, 1, 1, radius)
+    slack_12 = cauchy_transfer_audit(cache10k, 1, 2, radius)
     ok = slack_11 >= 0.95 and slack_12 >= 0.95
     _report(5, "Cauchy derivative-moment transfer at T=1e4", ok,
             f"slack(k=1,ell=1) {slack_11:.3f}, slack(k=1,ell=2) "

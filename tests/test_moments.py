@@ -7,18 +7,18 @@ import pytest
 from zetamoments import moments, zetafn
 from zetamoments.moments import (
     GridError,
-    cauchy_transfer_audit,
     cauchy_transfer_report,
     compute_Jk,
     continuous_moment,
     dyadic_reconstruction,
-    histogram_from_values,
     large_value_histogram,
     majorant_audit,
     shifted_moment,
 )
 from zetamoments.primes import DirichletPolySpec
 from zetamoments.zetafn import CONSTANTS, chi, hardy_z
+
+from .oracles import cauchy_transfer_audit, histogram_from_values
 
 
 class TestComputeJk:
@@ -377,3 +377,68 @@ def test_table_within_committed_error_of_mpmath(fixture, request):
                                mpmath.mpf(g) + alpha.imag)
                 truth = complex(mpmath.zeta(s, derivative=ell))
                 assert abs(value - truth) <= err, (g, alpha, ell)
+
+
+class TestRiemannSiegelRows:
+    """The shift table's rows above the crossover take Riemann-Siegel."""
+
+    @pytest.fixture(scope="class")
+    def tables(self, cache10k):
+        """The table on cache10k, one with every row on Euler-Maclaurin, and
+        the mask of the Riemann-Siegel rows."""
+        table = zetafn.ZeroShiftEvaluator(cache10k.gammas, cache10k.t_max)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zetafn, "_RS_SHIFT_FROM", 1e300)
+            em = zetafn.ZeroShiftEvaluator(cache10k.gammas, cache10k.t_max)
+        rs = (zetafn.em_truncation(cache10k.gammas + 1.0)
+              > zetafn.em_truncation(zetafn._RS_SHIFT_FROM + 1.0))
+        return table, em, rs
+
+    def test_rs_rows_agree_with_em_rows(self, cache10k, tables):
+        table, em, rs = tables
+        gammas = cache10k.gammas[rs]
+        assert gammas.size > 0.7 * cache10k.gammas.size
+        assert gammas.min() > zetafn._RS_SHIFT_FROM
+        radius = table.radius
+        circle = radius * np.exp(2j * math.pi * np.arange(8) / 8)
+        cases = [(0.0, ell) for ell in (0, 1, 2)] + [(alpha, 0) for alpha in circle]
+        for alpha, ell in cases:
+            _, em_err = zetafn.zeta_at_heights(gammas, alpha, ell)
+            rs_err = zetafn._rs_shift_error(gammas, radius, ell)
+            diff = np.abs(table.values(alpha, ell)[rs] - em.values(alpha, ell)[rs])
+            assert np.all(diff <= em_err + rs_err), (alpha, ell)
+
+    def test_em_rows_are_unchanged_bit_for_bit(self, tables):
+        table, em, rs = tables
+        assert np.count_nonzero(~rs) > 1000
+        assert np.array_equal(table._coeff[~rs], em._coeff[~rs])
+        assert not np.array_equal(table._coeff[rs], em._coeff[rs])
+
+    def test_within_committed_error_of_mpmath_near_1e5(self):
+        # the table needs heights, not zeros: 12 seeded ones below t_max
+        gammas = np.sort(np.random.default_rng(24).uniform(99_000.0, 1e5, 12))
+        table = zetafn.ZeroShiftEvaluator(gammas, 1e5)
+        radius = table.radius
+        with mpmath.workdps(30):
+            for alpha, ell in ((0.0, 0), (-radius, 0), (0.0, 1)):
+                committed = zetafn._rs_shift_error(gammas, radius, ell)
+                for g, value, err in zip(gammas, table.values(alpha, ell), committed):
+                    s = mpmath.mpc(0.5 + alpha, mpmath.mpf(g))
+                    truth = complex(mpmath.zeta(s, derivative=ell))
+                    assert abs(value - truth) <= err, (g, alpha, ell)
+
+    def test_crossover_where_committed_errors_meet(self):
+        # below the crossover Euler-Maclaurin commits less, above it RS
+        x = zetafn._RS_SHIFT_FROM
+        ts = np.concatenate((np.arange(1500.0, 4000.0), np.geomspace(4000.0, 1e5, 200)))
+        _, em_err = zetafn.zeta_at_heights(ts, 0.0, 0)
+        rs_err = zetafn._rs_shift_error(ts, 0.1, 0)
+        assert np.all((rs_err > em_err) == (ts < x))
+        _, at_x = zetafn.zeta_at_heights(np.array([x]), 0.0, 0)
+        assert zetafn._rs_shift_error(x, 0.1, 0) / at_x[0] == pytest.approx(1.0, abs=1e-3)
+
+    def test_heights_above_t_max_rejected(self):
+        # the radius 1/log t_max would exceed 1/log gamma there
+        for gammas in ([2000.0, 3000.0], [np.nan]):
+            with pytest.raises(zetafn.DomainError, match="t_max"):
+                zetafn.ZeroShiftEvaluator(np.array(gammas), 2500.0)

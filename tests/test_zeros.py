@@ -9,7 +9,13 @@ import pytest
 from zetamoments import zeros, zetafn
 from zetamoments.zetafn import hardy_z, hardy_z_grid, theta, zeta
 
-from .oracles import bisect_zero, em_zeta_oracle, sign_change_count
+from .oracles import (
+    bisect_zero,
+    count_main_term_deviation,
+    em_zeta_oracle,
+    gram_point,
+    sign_change_count,
+)
 
 GAMMA_1 = 14.134725141734693
 
@@ -97,7 +103,7 @@ class TestRosserBlocks:
         # the block runs between two good Gram points
         for g in (err.t_lo, err.t_hi):
             n = round(theta(g) / math.pi)
-            assert abs(g - zeros.gram_point(n)) < 1e-9
+            assert abs(g - gram_point(n)) < 1e-9
             assert (-1) ** n * hardy_z(g).value.real > 0
 
     def test_hidden_pair_in_turing_tail_raises(self, cache1000, monkeypatch):
@@ -155,7 +161,7 @@ class TestRosserBlocks:
 
     def test_unproved_gram_sign_raises(self, monkeypatch):
         # a committed error that swallows |Z| at one Gram point stops the sweep
-        g = zeros.gram_point(40)
+        g = gram_point(40)
         real = zeros.hardy_z_grid
 
         def loose(ts):
@@ -254,13 +260,13 @@ class TestCountAudit:
     def test_t100(self, cache100):
         dev = zeros.count_audit(cache100)
         assert abs(dev) <= 2.0
-        main_dev = zeros.count_main_term_deviation(cache100)
+        main_dev = count_main_term_deviation(cache100)
         # main term (100/2pi) log(100/2pi) - (100/2pi) ~ 28.1: deviation ~ 0.9
         assert 0.0 < main_dev < 2.0
 
     def test_t14_empty(self):
         cache = zeros.sweep(14.0)
-        dev = zeros.count_main_term_deviation(cache)
+        dev = count_main_term_deviation(cache)
         assert abs(dev) < 1.0
 
     def test_t1000(self, cache1000):
@@ -276,7 +282,7 @@ class TestCountAudit:
 
 class TestGram:
     def test_first_gram_point(self):
-        g0 = zeros.gram_point(0)
+        g0 = gram_point(0)
         assert 17.0 < g0 < 18.0
         assert abs(theta(g0)) < 1e-9
 

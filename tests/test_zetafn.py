@@ -335,22 +335,27 @@ class TestChi:
         assert abs(abs(r.value) - expect) / expect <= 2.0 / 100.0
 
     def test_error_estimate_dominates_mpmath(self):
-        # zero failures allowed; the first point once exceeded its estimate,
-        # and so did 34 of the 300 low heights left of sigma = 0.3 (by up to
-        # 3.9x) and 40 of the 290 right of it (by up to 3.2x), where
-        # log_gamma recurs up to |1 - s| = 32.  The right-hand points keep
-        # 0.05 away from the poles of Gamma(1 - s) at s = 1, 2, 3.
+        # zero failures allowed; the first two points once exceeded their
+        # estimates (the second by 1.46x, next to the pole of Gamma(1 - s) at
+        # s = 3, where log_gamma reflects through sin(pi (1 - s))), and so
+        # did 34 of the 300 low heights left of sigma = 0.3 (by up to 3.9x)
+        # and 40 of 290 right of it (by up to 3.2x), where log_gamma
+        # recurs up to |1 - s| = 32.  Rings of radius 1e-2 to 1e-6 circle
+        # the poles at s = 1, 2, 3.
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(46)
-        points = [complex(-0.07744590465028889, 2180.8910187232514)]
+        points = [complex(-0.07744590465028889, 2180.8910187232514),
+                  complex(2.9996951479342773, 9.035043585700991e-05)]
+        points += [complex(z.real, abs(z.imag)) for z in
+                   (n + radius * cmath.exp(1j * math.pi * (j + 0.5) / 4)
+                    for n in (1, 2, 3) for radius in (1e-2, 1e-4, 1e-6) for j in range(4))]
         points += [complex(sigma, t) for sigma, t in
                    zip(rng.uniform(-1.0, 2.0, 300), 10.0 ** rng.uniform(1.0, 5.0, 300))]
         points += [complex(sigma, t) for sigma, t in
                    zip(rng.uniform(-3.0, 0.3, 300), 10.0 ** rng.uniform(-3.0, 1.5, 300))]
-        right = [complex(sigma, t) for sigma, t in
-                 zip(rng.uniform(0.3, 3.4, 300), 10.0 ** rng.uniform(-3.0, 1.5, 300))]
-        points += [s for s in right if min(abs(s - n) for n in (1, 2, 3)) >= 0.05]
-        with mpmath.workdps(30):
+        points += [complex(sigma, t) for sigma, t in
+                   zip(rng.uniform(0.3, 3.4, 300), 10.0 ** rng.uniform(-3.0, 1.5, 300))]
+        with mpmath.workdps(40):
             for s in points:
                 m = mpmath.mpc(s.real, s.imag)
                 truth = complex(mpmath.power(2, m) * mpmath.power(mpmath.pi, m - 1)
