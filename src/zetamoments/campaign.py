@@ -136,14 +136,14 @@ def run_campaign(config: CampaignConfig) -> list[AuditOutcome]:
     _safe(gonek, "gonek_explicit_formula", outcomes)
 
     def mean_square():
-        for xi in (20, 50, 100):
-            if xi > config.t_max / log_t:
-                continue
-            for alpha in (0.0, 1.0 / log_t):
-                rep = zerosums.mean_square_over_zeros(cache, np.ones(xi), alpha)
-                add(AuditOutcome(
-                    f"mean_square[xi={xi},re_alpha={alpha:.6g}]",
-                    rep.ratio, max(0.0, rep.ratio - 5.0), len(cache)))
+        pairs = [(xi, alpha) for xi in (20, 50, 100) if xi <= config.t_max / log_t
+                 for alpha in (0.0, 1.0 / log_t)]
+        reports = zerosums.mean_square_over_zeros(
+            cache, [np.ones(xi) for xi, _ in pairs], tuple(alpha for _, alpha in pairs))
+        for (xi, alpha), rep in zip(pairs, reports):
+            add(AuditOutcome(
+                f"mean_square[xi={xi},re_alpha={alpha:.6g}]",
+                rep.ratio, max(0.0, rep.ratio - 5.0), len(cache)))
 
     _safe(mean_square, "mean_square", outcomes)
 
@@ -263,8 +263,6 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
                                  rep.ratio_to_conjecture, 0.0, len(cache),
                                  f"normalized {rep.normalized:.6g}"))
 
-    _safe(j_moments, "j_moment", outcomes)
-
     def shifted():
         for k in config.k_list:
             for alpha in config.alphas():
@@ -273,8 +271,6 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
                     f"shifted_moment[k={k:g},alpha={alpha:.6g}]",
                     rep.ratio_to_conjecture, 0.0, len(cache),
                     f"normalized {rep.normalized:.6g}"))
-
-    _safe(shifted, "shifted_moment", outcomes)
 
     def large_values():
         alpha = complex(1.0 / log_t)
@@ -298,21 +294,16 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
                              float(sandwich_bad), hist.n_zeros,
                              f"direct {direct:.6g} recon {recon:.6g}"))
 
-    _safe(large_values, "large_values", outcomes)
-
     def cauchy():
-        radius = 1.0 / log_t
-        for k in config.k_list:
-            if k != int(k):
-                continue
-            for ell in config.ell_list:
-                rep = moments.cauchy_transfer_report(cache, int(k), ell, radius)
-                add(AuditOutcome(
-                    f"cauchy_transfer[k={k:g},ell={ell}]", rep.slack,
-                    max(0.0, 0.95 - rep.slack), rep.n_samples,
-                    f"argmax alpha {rep.argmax_alpha:.6g}"))
-
-    _safe(cauchy, "cauchy_transfer", outcomes)
+        ks = tuple(int(k) for k in config.k_list if k == int(k))
+        # one pass over the disk for every (k, ell); a k whose sums overflow
+        # raises after the reports of the k before it
+        for rep in moments.cauchy_transfer_report(cache, ks, tuple(config.ell_list),
+                                                  1.0 / log_t):
+            add(AuditOutcome(
+                f"cauchy_transfer[k={rep.k:g},ell={rep.ell}]", rep.slack,
+                max(0.0, 0.95 - rep.slack), rep.n_samples,
+                f"argmax alpha {rep.argmax_alpha:.6g}"))
 
     def continuous():
         ks = tuple(config.k_list)
@@ -322,6 +313,13 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
                              moments.log_power_ratio(val, t_top, k * k), 0.0, 1,
                              f"value {val:.6g}"))
 
+    # the moment audits read each column of moduli at the zeros once; the
+    # columns go before the continuous moment, whose grid sets the peak memory
+    with moments.shared_columns(cache):
+        _safe(j_moments, "j_moment", outcomes)
+        _safe(shifted, "shifted_moment", outcomes)
+        _safe(large_values, "large_values", outcomes)
+        _safe(cauchy, "cauchy_transfer", outcomes)
     _safe(continuous, "continuous_moment", outcomes)
 
 

@@ -15,6 +15,8 @@ shape evaluated with constant 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,8 @@ TAU_OFFSET_PRIME = math.exp(30.0)   # tau convention of the prime-only majorant
 # values over the 138,069 zeros to 1e5 take 0.94 s on a 2-vCPU x86-64 host.
 # The default grid reaches 4 k log log T, so this admits k up to 1,294 at T = 1e3.
 MAX_V_GRID = 10_000
+# id(cache) -> {(alpha, order): moduli} while a shared_columns block runs
+_SHARED: dict[int, dict] = {}
 
 
 class GridError(ValueError):
@@ -173,6 +177,29 @@ def values_at_zeros(cache: ZeroCache, alpha: complex = 0.0,
     return zeta_at_heights(cache.gammas, alpha=alpha, order=order)[0]
 
 
+@contextmanager
+def shared_columns(cache: ZeroCache):
+    """Within the block, every report on cache reads each distinct
+    |zeta^(order)(rho + alpha)| column from one evaluation; the columns are
+    dropped when the block ends.  A default campaign evaluates five: orders
+    1 and 2 at alpha = 0, and its three shifts."""
+    _SHARED[id(cache)] = {}
+    try:
+        yield
+    finally:
+        _SHARED.pop(id(cache), None)
+
+
+def _moduli(cache: ZeroCache, alpha: complex, order: int) -> np.ndarray:
+    """|zeta^(order)(rho + alpha)| over the cached zeros, once per
+    shared_columns block; every moment and count reads these moduli alone."""
+    columns = _SHARED.get(id(cache), {})
+    key = (complex(alpha), order)
+    if key not in columns:
+        columns[key] = np.abs(values_at_zeros(cache, alpha, order))
+    return columns[key]
+
+
 def _check_shift(t_max: float, alpha: complex) -> None:
     # written so that a NaN part fails the test
     if not (abs(alpha) <= 1.0 and abs(alpha.real) <= 1.0 / math.log(t_max) + 1e-15):
@@ -209,9 +236,8 @@ def _moment(cache: ZeroCache, k: float, ell: int, alpha: complex) -> MomentRepor
         raise ValueError("empty cache")
     if not 0.0 < k < math.inf:
         raise ValueError(f"k must be positive and finite (got {k})")
-    vals = values_at_zeros(cache, alpha, ell)
     with np.errstate(over="ignore"):
-        raw = float(np.sum(np.abs(vals) ** (2.0 * k)))
+        raw = float(np.sum(_moduli(cache, alpha, ell) ** (2.0 * k)))
     _require_finite(raw, k)
     n = len(cache)
     exponent = k * (k + 2 * ell)
@@ -296,7 +322,7 @@ def large_value_histogram(cache: ZeroCache, k_hint: float, alpha: complex,
     alpha = complex(alpha)
     _check_shift(cache.t_max, alpha)
     with np.errstate(divide="ignore"):
-        logs = np.log(np.abs(values_at_zeros(cache, alpha, 0)))
+        logs = np.log(_moduli(cache, alpha, 0))
     return _histogram(logs, cache.t_max, alpha, k_hint, v_grid)
 
 
@@ -350,9 +376,10 @@ def dyadic_reconstruction(histogram: LargeValueHistogram, k: float) -> float:
     """Upper-bound moment rebuilt from histogram decrements on integer bins.
 
     Zeros with log|zeta| below 3 are lumped into an e^{6k}-per-zero bottom
-    term; each bin [nu-1, nu) contributes e^{2k nu} per zero.  The result
-    dominates the direct moment and exceeds it by at most a factor e^{2k}
-    plus the bottom term.
+    term; each bin [nu-1, nu) contributes e^{2k nu} per zero, and an empty
+    bin nothing.  The result dominates the direct moment and exceeds it by at
+    most a factor e^{2k} plus the bottom term.  Where e^{6k} or the result
+    overflows a double, ValueError.
     """
     grid = histogram.config.v_grid
     if any(abs(v - round(v)) > 0.0 for v in grid):
@@ -365,11 +392,15 @@ def dyadic_reconstruction(histogram: LargeValueHistogram, k: float) -> float:
         raise GridError(
             f"grid top {grid[-1]} below max observed {histogram.max_observed:.3f}")
     counts = histogram.counts
-    total = histogram.n_zeros
-    recon = math.exp(6.0 * k) * (total - counts[0])
-    for j in range(1, len(grid)):
-        nu = grid[j]
-        recon += math.exp(2.0 * k * nu) * (counts[j - 1] - counts[j])
+    try:
+        recon = math.exp(6.0 * k) * (histogram.n_zeros - counts[0])
+        for nu, above, below in zip(grid[1:], counts, counts[1:]):
+            if above != below:
+                recon += math.exp(2.0 * k * nu) * (above - below)
+    except OverflowError:
+        recon = math.inf
+    if not math.isfinite(recon):
+        raise ValueError(f"the dyadic reconstruction overflows a double at k = {k:g}")
     return recon
 
 
@@ -389,37 +420,65 @@ def _disk_samples(radius: float) -> np.ndarray:
                      for r, n in rings for j in range(n)]).reshape(8, 16)
 
 
-def cauchy_transfer_report(cache: ZeroCache, k: int, ell: int,
-                           radius: float) -> CauchyTransferReport:
+def cauchy_transfer_report(cache: ZeroCache, k: int | tuple[int, ...],
+                           ell: int | tuple[int, ...], radius: float
+                           ) -> CauchyTransferReport | Iterator[CauchyTransferReport]:
     """Sampled max over the disk |alpha| <= radius against the LHS moment.
 
-    The 128 shifts of _disk_samples take 8 products of the Taylor table,
-    each reduced to one sum |zeta(rho + alpha)|^{2k} per shift.  The LHS
-    is the moment of zeta^(ell) at the zeros.  The slack is formed in logs;
-    where it overflows a double, ValueError.
+    The 128 shifts of _disk_samples take 8 products of the Taylor table.
+    Each (n, 16) product is reduced to one sum |zeta(rho + alpha)|^{2k} per
+    shift and k as soon as it is formed, so one pass serves every k and ell.
+    The LHS is the moment of zeta^(ell) at the zeros.  The slack is formed
+    in logs; where it overflows a double, ValueError.
+
+    k and ell are an int each, for one report, or tuples: then an iterator
+    over the reports, k by k and ell by ell, from one pass.  A (k, ell)
+    whose sums or slack overflow raises ValueError where it is reached,
+    after the reports before it.
     """
-    if not (1 <= k < math.inf and ell >= 1):
+    ks = k if isinstance(k, tuple) else (k,)
+    ells = ell if isinstance(ell, tuple) else (ell,)
+    if not (all(1 <= kk < math.inf for kk in ks) and all(e >= 1 for e in ells)):
         raise ValueError(f"k and ell must be finite and >= 1 (got {k}, {ell})")
     if not (0.0 < radius <= 1.0 / math.log(cache.t_max) + 1e-15):
         raise ValueError(f"radius {radius} outside (0, 1/log T]")
-    lhs = _moment(cache, k, ell, 0.0).raw_sum
+    if len(cache) == 0:
+        raise ValueError("empty cache")
+    if not (ks and ells):
+        return iter(())
     evaluator = shift_evaluator(cache)
     samples = _disk_samples(radius)
+    totals = np.empty((len(ks), samples.size))
     with np.errstate(over="ignore"):
-        totals = np.array([np.sum(np.abs(evaluator.values(row)) ** (2.0 * k), axis=0)
-                           for row in samples])
-    _require_finite(totals, k)
-    best = int(np.argmax(totals))
-    log_prefactor = 2.0 * k * (math.log(math.factorial(ell)) - ell * math.log(radius))
-    try:
-        slack = math.exp(log_prefactor + math.log(totals.flat[best]) - math.log(lhs))
-    except OverflowError:
-        raise ValueError(f"the sampled slack overflows a double at k = {k:g}, "
-                         f"ell = {ell}") from None
-    return CauchyTransferReport(k=k, ell=ell, radius=radius,
-                                n_samples=samples.size, lhs=lhs,
-                                log_prefactor=log_prefactor, slack=slack,
-                                argmax_alpha=complex(samples.flat[best]))
+        for i, row in enumerate(samples):
+            mods = np.abs(evaluator.values(row))
+            for j, kk in enumerate(ks):
+                totals[j, i * row.size:(i + 1) * row.size] = np.sum(mods ** (2.0 * kk), axis=0)
+            del mods        # before the next product: one (n, 16) row at a time
+    reports = _cauchy_reports(cache, ks, ells, radius, samples, totals)
+    if isinstance(k, tuple) or isinstance(ell, tuple):
+        return reports
+    return next(reports)
+
+
+def _cauchy_reports(cache: ZeroCache, ks, ells, radius: float, samples: np.ndarray,
+                    totals: np.ndarray):
+    """The reports of cauchy_transfer_report from its disk totals, one row per k."""
+    for kk, row in zip(ks, totals):
+        for e in ells:
+            lhs = _moment(cache, kk, e, 0.0).raw_sum
+            _require_finite(row, kk)
+            best = int(np.argmax(row))
+            log_prefactor = 2.0 * kk * (math.log(math.factorial(e)) - e * math.log(radius))
+            try:
+                slack = math.exp(log_prefactor + math.log(row[best]) - math.log(lhs))
+            except OverflowError:
+                raise ValueError(f"the sampled slack overflows a double at k = {kk:g}, "
+                                 f"ell = {e}") from None
+            yield CauchyTransferReport(k=kk, ell=e, radius=radius,
+                                       n_samples=samples.size, lhs=lhs,
+                                       log_prefactor=log_prefactor, slack=slack,
+                                       argmax_alpha=complex(samples.flat[best]))
 
 
 # ---------------------------------------------------------------------------

@@ -111,33 +111,48 @@ def gonek_sum(cache: ZeroCache, x: float) -> GonekReport:
                        nearest_pp_distance=gap)
 
 
-def mean_square_over_zeros(cache: ZeroCache, coeffs, alpha: complex) -> MeanSquareReport:
+def mean_square_over_zeros(cache: ZeroCache, coeffs, alpha: complex | tuple[complex, ...]
+                           ) -> MeanSquareReport | tuple[MeanSquareReport, ...]:
     """sum_gamma |sum_{n<=xi} a_n n^{-rho-alpha}|^2 and its T log T scale.
 
     coeffs[k] is a_{k+1}; xi = len(coeffs).  Requires Re alpha >= 0 and
-    3 <= xi <= T / log T.
+    3 <= xi <= T / log T.  A tuple of alpha, with one row of coeffs per
+    alpha, gives a tuple of reports from one pass over the zeros: per block
+    of zeros, n^{-i gamma} for n up to the largest xi and one product with
+    every row's weights a_n n^{-1/2 - alpha}.
     """
-    alpha = complex(alpha)
-    a = np.asarray(coeffs, dtype=np.complex128)
-    xi = a.size
+    batched = isinstance(alpha, tuple)
+    rows = [np.asarray(a, dtype=np.complex128) for a in (coeffs if batched else [coeffs])]
+    alphas = [complex(a) for a in (alpha if batched else (alpha,))]
+    if len(rows) != len(alphas):
+        raise PreconditionError(f"{len(rows)} coefficient rows for {len(alphas)} shifts")
     t_max = cache.t_max
-    if not (alpha.real >= 0.0 and math.isfinite(abs(alpha))):
-        raise PreconditionError(f"alpha must be finite with Re alpha >= 0 (got {alpha})")
-    if not (3 <= xi <= t_max / math.log(t_max)):
-        raise PreconditionError(
-            f"xi = {xi} outside [3, T/log T] = [3, {t_max / math.log(t_max):.1f}]")
-    gammas = cache.gammas
-    ns = np.arange(1, xi + 1, dtype=np.float64)
+    for a, shift in zip(rows, alphas):
+        if not (shift.real >= 0.0 and math.isfinite(abs(shift))):
+            raise PreconditionError(f"alpha must be finite with Re alpha >= 0 (got {shift})")
+        if not (a.ndim == 1 and 3 <= a.size <= t_max / math.log(t_max)):
+            raise PreconditionError(
+                f"xi = {a.size} outside [3, T/log T] = [3, {t_max / math.log(t_max):.1f}]")
+    if not rows:
+        return ()
+    xi_max = max(a.size for a in rows)
+    ns = np.arange(1, xi_max + 1, dtype=np.float64)
     logn = np.log(ns)
-    weights = a * np.exp(-(0.5 + alpha) * logn)     # a_n n^{-1/2 - alpha}
-    inner = np.empty(gammas.size, dtype=np.complex128)
+    weights = np.zeros((len(rows), xi_max), dtype=np.complex128)
+    for r, (a, shift) in enumerate(zip(rows, alphas)):
+        weights[r, :a.size] = a * np.exp(-(0.5 + shift) * logn[:a.size])
+    gammas = cache.gammas
+    lhs = np.zeros(len(rows))
     for start in range(0, gammas.size, _ZERO_BLOCK):   # n^{-i gamma} from the primes
-        block = slice(start, start + _ZERO_BLOCK)
-        inner[block] = weights @ _n_pow_it(gammas[block], xi)
-    lhs = float((inner.real ** 2 + inner.imag ** 2).sum())
-    m_xi = max(1.0, float(np.abs(a).max()) if xi else 1.0)
-    rhs = m_xi * t_max * math.log(t_max) * float((np.abs(a) / ns).sum())
-    return MeanSquareReport(xi=float(xi), alpha=alpha, lhs=lhs, rhs_scale=rhs)
+        inner = weights @ _n_pow_it(gammas[start:start + _ZERO_BLOCK], xi_max)
+        lhs += (inner.real ** 2 + inner.imag ** 2).sum(axis=1)
+    reports = []
+    for a, shift, total in zip(rows, alphas, lhs):
+        m_xi = max(1.0, float(np.abs(a).max()))
+        rhs = m_xi * t_max * math.log(t_max) * float((np.abs(a) / ns[:a.size]).sum())
+        reports.append(MeanSquareReport(xi=float(a.size), alpha=shift,
+                                        lhs=float(total), rhs_scale=rhs))
+    return tuple(reports) if batched else reports[0]
 
 
 # Fixed tail rules (Takahasi-Mori, Publ. RIMS 9 (1974) 721-741).  Half-lines:

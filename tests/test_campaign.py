@@ -2,9 +2,10 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from zetamoments import campaign, zeros
+from zetamoments import campaign, zeros, zetafn
 from zetamoments.campaign import CampaignConfig, ReportSchemaError
 from zetamoments.zetafn import REFLECTION, NearZeroError, zeta
 
@@ -69,6 +70,48 @@ class TestRunCampaign:
             constant = outcomes[f"continuous_moment[k={k:g}]"].fitted_constant
             assert constant == campaign.moments.log_power_ratio(val, 1000.0, k * k)
             assert constant == pytest.approx(val / math.log(1000.0) ** (k * k), rel=1e-14)
+
+    def test_shared_products_evaluated_once(self, cache_file, monkeypatch):
+        shifts, blocks = [], []
+        values = zetafn.ZeroShiftEvaluator.values
+        n_pow_it = campaign.zerosums._n_pow_it
+
+        def counted_values(self, alpha, order=0):
+            shifts.append((np.size(alpha), order))
+            return values(self, alpha, order)
+
+        def counted_n_pow_it(ts, n):
+            blocks.append(n)
+            return n_pow_it(ts, n)
+
+        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted_values)
+        monkeypatch.setattr(campaign.zerosums, "_n_pow_it", counted_n_pow_it)
+        campaign.run_campaign(CampaignConfig(t_max=1000.0, cache_path=cache_file))
+        # the Cauchy disk in 8 rows of 16 shifts; one column each for zeta'
+        # and zeta'' at the zeros and for the three shifts
+        assert len(shifts) == 13
+        assert shifts.count((16, 0)) == 8
+        assert sorted(shifts[:5]) == [(1, 0)] * 3 + [(1, 1), (1, 2)]
+        # the six mean squares: n^{-i gamma} for n <= 100 once per block of
+        # 512 zeros
+        assert blocks == [100, 100]
+
+    def test_partial_failures_stay_per_k(self, cache_file):
+        config = CampaignConfig(t_max=1000.0, k_list=(1.0, 200.0), cache_path=cache_file)
+        outcomes = campaign.run_campaign(config)
+        first_k = [i for i, o in enumerate(outcomes) if o.audit_name.startswith("j_moment")][0]
+        alphas = [f"{a:.6g}" for a in config.alphas()]
+        assert [o.audit_name for o in outcomes[first_k:]] == [
+            "j_moment[k=1,ell=1]", "j_moment[k=1,ell=2]", "j_moment",
+            *(f"shifted_moment[k={k},alpha={a}]" for k in (1, 200) for a in alphas),
+            "large_value_histogram[k=1]", "dyadic_reconstruction[k=1]",
+            "large_value_histogram[k=200]", "large_values",
+            "cauchy_transfer[k=1,ell=1]", "cauchy_transfer[k=1,ell=2]", "cauchy_transfer",
+            "continuous_moment"]
+        errors = {o.audit_name: o.notes for o in outcomes if o.notes.startswith("error:")}
+        assert errors["large_values"] == ("error: ValueError: the dyadic reconstruction "
+                                          "overflows a double at k = 200")
+        assert all("k = 200" in note for note in errors.values())
 
     def test_partial_fraction_reports_samples_used(self, cache_file, monkeypatch):
         config = CampaignConfig(t_max=1000.0, k_list=(), cache_path=cache_file)

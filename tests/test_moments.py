@@ -21,6 +21,29 @@ from zetamoments.zetafn import CONSTANTS, chi, hardy_z
 from .oracles import cauchy_transfer_audit, histogram_from_values
 
 
+def test_shared_columns_evaluate_each_column_once(cache1000, monkeypatch):
+    radius = 1.0 / math.log(1000.0)
+    calls = []
+    values = zetafn.ZeroShiftEvaluator.values
+
+    def counted(self, alpha, order=0):
+        calls.append((np.size(alpha), order))
+        return values(self, alpha, order)
+
+    monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted)
+    with moments.shared_columns(cache1000):
+        for k in (1.0, 2.0):
+            assert compute_Jk(cache1000, k, 1).raw_sum == float(np.sum(
+                np.abs(values(cache1000.shift_table, 0.0, 1)) ** (2.0 * k)))
+            shifted_moment(cache1000, k, radius)
+            large_value_histogram(cache1000, k, radius)
+        cauchy_transfer_report(cache1000, 1, 1, radius)
+    assert sorted(calls) == [(1, 0), (1, 1)] + [(16, 0)] * 8
+    assert moments._SHARED == {}
+    compute_Jk(cache1000, 1.0, 1)
+    assert calls.count((1, 1)) == 2
+
+
 class TestComputeJk:
     def test_zeroth_derivative_vanishes(self, cache1000):
         rep = compute_Jk(cache1000, 1.0, 0)
@@ -156,6 +179,19 @@ class TestDyadicReconstruction:
         assert direct <= recon * math.exp(2.0 * k * dv) * (1.0 + 1e-12)
         assert recon <= direct * math.exp(2.0 * k * dv) * (1.0 + 1e-12)
 
+    def test_overflow_raises_value_error_naming_k(self, cache1000):
+        # e^{6k} overflows a double beyond k = 118.3
+        hist = large_value_histogram(cache1000, 200.0, 1.0 / math.log(1000.0))
+        with pytest.raises(ValueError, match="k = 200"):
+            dyadic_reconstruction(hist, 200.0)
+
+    def test_empty_bins_add_nothing(self, cache1000):
+        # at k = 7 the grid runs to V = 54, where e^{2k V} overflows a double;
+        # every zero lies below 3, so only the bottom term counts
+        hist = large_value_histogram(cache1000, 7.0, 1.0 / math.log(1000.0))
+        assert hist.counts[0] == 0
+        assert dyadic_reconstruction(hist, 7.0) == math.exp(42.0) * len(cache1000)
+
     def test_grid_errors(self, cache1000):
         hist = large_value_histogram(cache1000, 1.0, 0.001,
                                      v_grid=[3.0, 3.5, 4.0])
@@ -214,6 +250,43 @@ class TestCauchyTransfer:
         assert len(calls) == 8
         assert rep.n_samples == shifts.size == 128
         assert np.array_equal(shifts, moments._disk_samples(radius).ravel())
+
+    def test_batched_equals_single_calls(self, cache1000):
+        radius = 1.0 / math.log(1000.0)
+        batched = list(cauchy_transfer_report(cache1000, (1, 2), (1, 2), radius))
+        single = [cauchy_transfer_report(cache1000, k, ell, radius)
+                  for k in (1, 2) for ell in (1, 2)]
+        assert batched == single
+        assert [(r.k, r.ell) for r in batched] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    def test_one_pass_for_every_k_and_ell(self, cache1000, monkeypatch):
+        radius = 1.0 / math.log(1000.0)
+        calls = []
+        values = zetafn.ZeroShiftEvaluator.values
+
+        def counted(self, alpha, order=0):
+            calls.append(np.size(alpha))
+            return values(self, alpha, order)
+
+        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted)
+        reports = cauchy_transfer_report(cache1000, (1, 2, 3), (1, 2), radius)
+        assert calls.count(16) == 8
+        assert len(list(reports)) == 6
+        assert calls.count(16) == 8
+
+    def test_batched_failure_keeps_the_reports_before_it(self, cache1000):
+        # the sums of |zeta'|^400 overflow a double at k = 200
+        reports = cauchy_transfer_report(cache1000, (1, 200), (1, 2),
+                                         1.0 / math.log(1000.0))
+        first, second = next(reports), next(reports)
+        assert [(first.k, first.ell), (second.k, second.ell)] == [(1, 1), (1, 2)]
+        with pytest.raises(ValueError, match="k = 200"):
+            next(reports)
+
+    def test_batched_validation_before_any_pass(self, cache1000):
+        for ks, ells in (((1, 0), (1,)), ((1,), (1, 0)), ((1, math.nan), (1,))):
+            with pytest.raises(ValueError, match="finite and >= 1"):
+                cauchy_transfer_report(cache1000, ks, ells, 0.1)
 
     def test_validation(self, cache1000):
         with pytest.raises(ValueError):

@@ -89,6 +89,43 @@ class TestMeanSquare:
         want = float((np.abs(dense) ** 2).sum())
         assert abs(mean_square_over_zeros(cache1000, a, alpha).lhs - want) <= 1e-12 * want
 
+    def test_rows_equal_single_calls(self, cache1000):
+        rng = np.random.default_rng(11)
+        rows = [np.ones(20), rng.normal(size=100) + 1j * rng.normal(size=100),
+                2.0 * np.ones(50), [0.0, 1.0, 0.0]]
+        alphas = (0.0, complex(0.15, 0.3), 1.0 / math.log(1000.0), 0.0)
+        batched = mean_square_over_zeros(cache1000, rows, alphas)
+        assert len(batched) == len(rows)
+        for rep, row, alpha in zip(batched, rows, alphas):
+            single = mean_square_over_zeros(cache1000, row, alpha)
+            assert (rep.xi, rep.alpha, rep.rhs_scale) == (single.xi, single.alpha,
+                                                         single.rhs_scale)
+            assert rep.lhs == pytest.approx(single.lhs, rel=1e-14)
+
+    def test_one_pass_for_every_row(self, cache1000, monkeypatch):
+        sizes = []
+        real = zerosums._n_pow_it
+
+        def counted(ts, n):
+            sizes.append(n)
+            return real(ts, n)
+
+        monkeypatch.setattr(zerosums, "_n_pow_it", counted)
+        mean_square_over_zeros(cache1000, [np.ones(20), np.ones(100), np.ones(50)],
+                               (0.0, 0.0, 0.1))
+        # 649 zeros are two blocks, each with n^{-i gamma} for n <= 100
+        assert sizes == [100, 100]
+
+    def test_preconditions_per_row(self, cache1000):
+        good = np.ones(10)
+        for rows, alphas in (([good, np.ones(2)], (0.0, 0.0)),
+                             ([good, np.ones(200)], (0.0, 0.0)),
+                             ([good, good], (0.0, complex(-0.1, 0.0))),
+                             ([good, good], (0.0, complex(0.0, math.nan))),
+                             ([good, good], (0.0,))):
+            with pytest.raises(PreconditionError):
+                mean_square_over_zeros(cache1000, rows, alphas)
+
     def test_preconditions(self, cache1000):
         with pytest.raises(PreconditionError):
             mean_square_over_zeros(cache1000, np.ones(10), complex(-0.1, 0.0))
