@@ -9,8 +9,10 @@ with 17 significant digits.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -105,6 +107,18 @@ def _safe(fn, name: str, outcomes: list[AuditOutcome]) -> None:
                                      notes=f"error: {type(exc).__name__}: {exc}"))
 
 
+def _digamma_rounding(s: complex) -> float:
+    """Rounding allowance of digamma(s) - (log s - 1/(2s)) for Re s > 0: four
+    ulps of each summand digamma adds (the 1/(s + j) of its upward recurrence
+    to |s + j| >= 32, then log, 1/(2s) and the Stirling terms there, each
+    below 1) and of the reference's log s and 1/(2s)."""
+    mag = abs(cmath.log(s)) + 1.0
+    while abs(s) < 32.0:
+        mag += abs(1.0 / s)
+        s += 1.0
+    return 4.0 * sys.float_info.epsilon * (mag + abs(cmath.log(s)) + 1.0)
+
+
 def run_campaign(config: CampaignConfig) -> list[AuditOutcome]:
     """Run every audit of the default campaign; deterministic given config."""
     if not 10.5 <= config.t_max <= 1e5:
@@ -194,11 +208,16 @@ def run_campaign(config: CampaignConfig) -> list[AuditOutcome]:
     def stirling():
         pts = _kronecker(config.seeds + 2, 50)
         worst = 0.0
+        past = 0
         for u, v in pts:
             s = complex(2.0 + 30.0 * u, 2.0 + 30.0 * v)
             dev = abs(digamma(s) - (np.log(complex(s)) - 0.5 / s))
             worst = max(worst, dev * abs(s) ** 2)
-        add(AuditOutcome("stirling_digamma", worst, 0.0, 50,
+            # |psi(s) - log s + 1/(2s)| <= 1/(12 (Re s)^2) for Re s > 0: by DLMF
+            # 5.9.13 it is -int_0^inf (1/(e^t - 1) - 1/t + 1/2) e^{-st} dt, and
+            # 0 <= 1/(e^t - 1) - 1/t + 1/2 <= t/12
+            past += dev > 1.0 / (12.0 * s.real ** 2) + _digamma_rounding(s)
+        add(AuditOutcome("stirling_digamma", worst, float(past), 50,
                          "sup |psi - (log s - 1/(2s))| * |s|^2"))
 
     _safe(stirling, "stirling_digamma", outcomes)

@@ -14,19 +14,22 @@ Evaluation strategy:
   The committed error estimate is the classical Euler-Maclaurin remainder
   bound (first omitted correction scaled by |s+2m+1|/(sigma+2m+1)) plus a
   floating-point noise allowance.
-* The batched routes (``zeta_at_heights``, ``ZeroShiftEvaluator``,
-  ``em_z_with_deriv``, ``hardy_z_grid``) take the same truncation per height,
-  in runs of heights that share it (``_em_grid`` on the Euler-Maclaurin
-  route), so a batched value equals the scalar one bit for bit and does not
-  depend on the other heights in the batch.
+* The batched routes on the line and right of it (``zeta_at_heights``,
+  ``em_z_with_deriv``, ``hardy_z_grid``) take the same truncation per
+  height, in runs of heights that share it (``_em_grid`` on the
+  Euler-Maclaurin route), so a batched value equals the scalar one bit for
+  bit and does not depend on the other heights in the batch.
 * ``ZeroShiftEvaluator``, the Taylor table in alpha of zeta(rho + alpha) at
   the zeros, takes one route per row.  Up to gamma = 2,612.8 a row is the
-  Euler-Maclaurin value above.  Above it, the Riemann-Siegel formula
-  continued to the complex height gamma - i alpha: sums of
+  Euler-Maclaurin sum at gamma's truncation, its boundary terms in closed
+  form in alpha (``_em_boundary_series``).  Above it, the Riemann-Siegel
+  formula continued to the complex height gamma - i alpha: sums of
   floor(sqrt(gamma/2pi)) terms, with gamma log k and theta(gamma) reduced
-  mod 2 pi from double-doubles, and chi(s) = e^{-2i theta} and the
-  remainder C0..C4 sampled on the table's circle.  Such a row commits
-  three times Gabcke's bound plus the rounding, doubled by the transform
+  mod 2 pi from double-doubles; chi(s) = e^{-2i theta}, from theta's
+  Taylor series about gamma, and the remainder C0..C4, from its real Taylor
+  series about gamma's p (``_rs_correction_series``), are sampled on the
+  table's circle.  Such a row commits three times Gabcke's bound plus the
+  rounding and the two series' dropped terms, doubled by the transform
   (``_rs_shift_error``); the crossover is where that meets the
   Euler-Maclaurin error 2.5e-15 t log N, at t = 2,564, moved up to the next
   truncation step.
@@ -44,7 +47,7 @@ Evaluation strategy:
   The correction functions are built from an exact power series for
   psi(p) = cos(2 pi (p^2 - p - 1/16)) / cos(2 pi p), an entire function, so
   its derivatives up to the twelfth are evaluated stably; each C_r is even
-  or odd in p - 1/2, a series in (p - 1/2)^2.
+  or odd in p - 1/2, a series in (p - 1/2)^2, evaluated at real p only.
 * ``theta`` is the asymptotic phase with four reciprocal correction terms,
   valid for t >= 10.
 * ``log_gamma`` uses upward recurrence into |s| >= 32 followed by the
@@ -57,7 +60,8 @@ Evaluation strategy:
   product of the values at its smallest prime factor and its cofactor, so a
   value depends on k and t alone.  The 24 Bernoulli corrections are one
   vectorized pass over the running product of (s + j)/N, j = 0..48, taken
-  two factors at a time; scaled by N, it stays finite at any height.
+  two factors at a time; scaled by N, it stays finite at any height.  The
+  shift table runs the same recurrence on Taylor series in alpha.
 
 All functions assume Im s >= 0 internally and extend by conjugation, so
 ``zeta(conj(s)) == conj(zeta(s))`` holds bit-for-bit.
@@ -357,6 +361,47 @@ def _sum_rows(x: np.ndarray) -> np.ndarray:
     return x.view(np.float64).sum(axis=0).view(np.complex128)
 
 
+def _em_boundary_series(s0: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Taylor coefficients in alpha, to degree _TAYLOR_ORDER, of _em_boundary's
+    terms at s = s0 + alpha with truncation n (an array like s0), one row per
+    s0: N^{-s} G(s), G(s) = 1/2 + N/(s - 1) + sum_r B_{2r}/(2r)! P_{2r-2}(s).
+
+    Each part is a closed form in alpha: P_0 = (s0 + alpha)/N and P_{2r} =
+    P_{2r-2} ((s0 + 2r - 1) + alpha)((s0 + 2r) + alpha)/N^2 on series cut at
+    degree _TAYLOR_ORDER, which is exact up to that degree; the pole tail
+    N/(s0 - 1) sum_k (alpha/(1 - s0))^k; and N^{-alpha}, a product with
+    (-log N)^k / k!.  Every step acts on each row alone, so a row does not
+    depend on the others.
+    """
+    s0 = s0[:, None]
+    n = np.asarray(n, dtype=np.float64)[:, None]
+    inv_n2 = 1.0 / (n * n)
+    prod = np.zeros((s0.shape[0], _TAYLOR_ORDER + 1), dtype=np.complex128)
+    prod[:, :1] = s0 / n
+    prod[:, 1:2] = 1.0 / n
+    series = np.zeros_like(prod)
+    for r, c in enumerate(_EM_COEFF, start=1):
+        series += c * prod
+        if r < _EM_TERMS:
+            a, b = s0 + (2 * r - 1), s0 + 2 * r
+            step = prod * (a * b * inv_n2)
+            step[:, 1:] += prod[:, :-1] * ((a + b) * inv_n2)
+            step[:, 2:] += prod[:, :-2] * inv_n2
+            prod = step
+    geometric = np.empty_like(prod)
+    geometric[:, :1] = n / (s0 - 1.0)
+    geometric[:, 1:] = 1.0 / (1.0 - s0)
+    series += np.cumprod(geometric, axis=1)
+    series[:, 0] += 0.5
+    log_n = np.log(n)
+    out = series.copy()
+    power = np.ones_like(log_n)
+    for k in range(1, _TAYLOR_ORDER + 1):
+        power = power * (-log_n / k)                      # (-log N)^k / k!
+        out[:, k:] += power * series[:, :-k]
+    return out * np.exp(-s0 * log_n)
+
+
 def _check_domain(s: complex) -> None:
     if not (math.isfinite(s.real) and math.isfinite(s.imag)):
         raise DomainError(f"non-finite argument {s!r}")
@@ -452,8 +497,11 @@ def zeta_at_heights(gammas: np.ndarray, alpha: complex = 0.0,
 # Shift-table order: the omitted terms stay below 1e-20 of the main sum's
 # amplitude sum n^{-1/2} while |alpha| log N <= 1.5.
 _TAYLOR_ORDER = 24
-_CIRCLE_SAMPLES = 32    # boundary-term samples per zero for the table's DFT
+# samples per Riemann-Siegel row, on |alpha| = 2 radius, of the chi side and
+# the corrections, for the table's discrete Fourier transform
+_CIRCLE_SAMPLES = 32
 _RADIUS_SLACK = 1e-15   # rounding allowance of |alpha| on the table's radius
+_EM_SHIFT_BLOCK = 512   # Euler-Maclaurin rows per boundary pass: (rows, 25) complex series
 # A Riemann-Siegel row of the table commits 2 (3 x 0.017 t^(-11/4) + 8e-15
 # sqrt(n)) on zeta (_rs_shift_error), an Euler-Maclaurin row about
 # 2.5e-15 t log N (zeta_at_heights at alpha = 0).  Scanned at step 0.1 on
@@ -479,20 +527,23 @@ class ZeroShiftEvaluator:
       _bucket_runs run as one real product of V^T, V[n, j] = n^{-1/2}
       (-log n)^j / j!, with the real and imaginary parts of n^{-i gamma}
       from _n_pow_it.  Boundary terms (N^{-s}/2, the pole tail, the
-      Bernoulli corrections): the discrete Fourier transform of 32 samples
-      on |alpha| = 2 * radius.  These rows agree with zeta_at_heights well
-      inside its committed error.
+      Bernoulli corrections): their exact Taylor coefficients in alpha
+      (_em_boundary_series), row by row in blocks of _EM_SHIFT_BLOCK rows.
+      These rows agree with zeta_at_heights well inside its committed error.
     * Riemann-Siegel, continued off the line to the complex height
       gamma_i - i alpha (_rs_shift_rows), on the rows above: two sums of
       floor(sqrt(gamma/2pi)) <= 126 terms to t = 1e5 in place of N ~ t/pi.
-      The first sum's coefficients are V^T times its phases; the second and
-      the remainder C0..C4 take the same 32 samples and transform.  Such a
-      row commits _rs_shift_error: 2 order! E / radius^order, with E three
-      times Gabcke's bound 0.017 t^(-11/4) plus 4e-15 per unit of 2 sqrt(n).
+      The first sum's coefficients are V^T times its phases; chi(s) times
+      the second, and the remainder C0..C4, are taken at 32 samples on
+      |alpha| = 2 * radius and transformed.  Such a row commits
+      _rs_shift_error: 2 order! E / radius^order, with E three times
+      Gabcke's bound 0.017 t^(-11/4) plus 4e-15 per unit of 2 sqrt(n) and
+      the dropped terms of the series behind the samples.
 
     The crossover _RS_SHIFT_FROM is where the two routes' committed errors
-    meet.  Rows are built in blocks of at most _RS_SHIFT_BLOCK heights that
-    share n, so no (rows, 32) array spans the table.
+    meet.  Riemann-Siegel rows are built in blocks of at most
+    _RS_SHIFT_BLOCK heights that share n, so no (rows, 32) array spans the
+    table.
 
     The table holds for |alpha| <= radius = 1/log t_max, where |alpha| log N
     stays near 1 and the main-sum series converges superexponentially.
@@ -511,22 +562,24 @@ class ZeroShiftEvaluator:
         j = np.arange(_TAYLOR_ORDER + 1)
         self._facts = np.cumprod(np.maximum(j, 1).astype(np.float64))  # j!
         rs_from = em_truncation(_RS_SHIFT_FROM + 1.0)
+        truncation = em_truncation(gammas + 1.0)
         runs = [(sl, n) for sl, n in _bucket_runs(gammas + 1.0) if n <= rs_from]
-        rs_rows = np.flatnonzero(em_truncation(gammas + 1.0) > rs_from)
+        em_rows = np.flatnonzero(truncation <= rs_from)
+        rs_rows = np.flatnonzero(truncation > rs_from)
         rs_lengths = np.floor(np.sqrt(gammas[rs_rows] / TWO_PI)).astype(np.int64)
         n_max = max([n - 1 for _, n in runs] + [int(rs_lengths.max(initial=1))])
         logn = _logn(n_max)
         v = np.exp(-0.5 * logn)[:, None] * (-logn[:, None]) ** j / self._facts
-        r = 2.0 * self.radius
-        w = np.exp(2j * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)[:, None]
-        dft = w ** -j / (_CIRCLE_SAMPLES * r ** j)
         coeff = np.empty((gammas.size, j.size), dtype=np.complex128)
         for sl, n in runs:
             main = v[: n - 1].T @ _n_pow_it(gammas[sl], n - 1).view(np.float64)
             coeff[sl] = main.view(np.complex128).T
-            s = (0.5 + 1j * gammas[sl]) + r * w                 # (samples, zeros)
-            boundary, _ = _em_boundary(s.ravel(), n, 0)
-            coeff[sl] += boundary[0].reshape(s.shape).T @ dft
+        for i in range(0, em_rows.size, _EM_SHIFT_BLOCK):
+            rows = em_rows[i: i + _EM_SHIFT_BLOCK]
+            coeff[rows] += _em_boundary_series(0.5 + 1j * gammas[rows], truncation[rows])
+        r = 2.0 * self.radius
+        w = np.exp(2j * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES)[:, None]
+        dft = w ** -j / (_CIRCLE_SAMPLES * r ** j)
         for start, stop in _runs(rs_lengths):
             for i in range(start, stop, _RS_SHIFT_BLOCK):
                 rows = rs_rows[i: min(i + _RS_SHIFT_BLOCK, stop)]
@@ -767,15 +820,15 @@ _C_TABLE = _correction_coeff_table()
 _RS_GABCKE = 0.017  # |remainder after C4| <= this * t^(-11/4) for t >= 200
 
 
-def _rs_correction(p, max_order: int):
-    """C0..C4 at p, the rows of a (5, len(p)) array, and for max_order 1
+def _rs_correction(p: np.ndarray, max_order: int):
+    """C0..C4 at real p, the rows of a (5, len(p)) array, and for max_order 1
     (else None) their p-derivatives: Horner's rule in v = (p - 1/2)^2 on all
-    five rows at once, in p's dtype (real on the line, complex off it)."""
-    u = np.asarray(p) - 0.5
+    five rows at once."""
+    u = p - 0.5
     v = u * u
 
     def horner(table, odd_rows):
-        acc = np.repeat(table[:, -1:], u.size, axis=1).astype(v.dtype, copy=False)
+        acc = np.repeat(table[:, -1:], u.size, axis=1)
         for column in table.T[-2::-1]:
             acc *= v
             acc += column[:, None]
@@ -784,6 +837,72 @@ def _rs_correction(p, max_order: int):
 
     rows = horner(_C_TABLE[0], slice(1, None, 2))
     return rows, horner(_C_TABLE[1], slice(0, None, 2)) if max_order else None
+
+
+# The shift table's corrections: F(p) = (-1)^(n-1) sum_r C_r(p) (n + p)^(-r-1/2)
+# is real-analytic in p.  Its Taylor series about the real p0 of a height,
+# to degree _RS_MODEL_ORDER, gives the samples off the line, where the circle
+# moves p by |dp| <= 1.1e-3; _rs_shift_error bounds the dropped terms.
+_RS_MODEL_ORDER = 6
+_RS_MODEL_DISK = 0.51   # |p - 1/2| over which the dropped terms are bounded
+
+
+def _correction_model_tables():
+    """Three tables for F's Taylor series, from _C_TABLE:
+
+    * C_r^(q)(u)/q! as power series in u = p - 1/2, for q = 0.._RS_MODEL_ORDER:
+      shape (Q + 1, 5, _PSI_DEGREE + 1), row (q, r), so that a product with
+      the powers of u gives every Taylor coefficient of every C_r at u;
+    * binom(-r-1/2, k), the Taylor coefficients of (1 + x)^(-r-1/2), for
+      k = 0..Q + 1: shape (Q + 2, 5);
+    * sup over |u| <= _RS_MODEL_DISK of |C_r^(j)(u)|/j! for j = 0..Q + 1,
+      bounded by the coefficients' moduli: shape (5, Q + 2).
+    """
+    order, m = _RS_MODEL_ORDER, np.arange(_PSI_DEGREE + 1)
+    power = np.zeros((5, m.size))
+    for r in range(5):
+        power[r, r % 2::2] = _C_TABLE[0, r, : (m.size - r % 2 + 1) // 2]
+    binom = np.array([[math.comb(int(k), q) for k in m] for q in range(order + 2)],
+                     dtype=np.float64)
+    derivs = np.zeros((order + 1, 5, m.size))
+    for q in range(order + 1):
+        derivs[q, :, : m.size - q] = power[:, q:] * binom[q, q:]
+    weight = np.ones((order + 2, 5))
+    for k in range(1, order + 2):
+        weight[k] = weight[k - 1] * (-(np.arange(5) + 0.5) - (k - 1)) / k
+    sup = np.array([[np.sum(np.abs(power[r, j:]) * binom[j, j:]
+                            * _RS_MODEL_DISK ** (m[j:] - j)) for j in range(order + 2)]
+                    for r in range(5)])
+    return derivs.reshape(-1, m.size), weight, sup
+
+
+_C_DERIVS, _TAU_BINOM, _C_DERIV_SUP = _correction_model_tables()
+
+
+def _powers(x: np.ndarray, degree: int) -> np.ndarray:
+    """x^j for j = 0..degree, the rows of a (degree + 1, len(x)) array."""
+    out = np.empty((degree + 1, x.size))
+    out[0] = 1.0
+    out[1:] = x
+    return np.cumprod(out, axis=0, out=out)
+
+
+def _rs_correction_series(p0: np.ndarray, n: int) -> np.ndarray:
+    """Taylor coefficients in dp of F(p0 + dp) = (-1)^(n-1) sum_r C_r(p0 + dp)
+    (n + p0 + dp)^(-r-1/2) about real p0 in [0, 1), to degree
+    _RS_MODEL_ORDER: shape (Q + 1, len(p0)), real.  Those of C_r come from
+    one product of _C_DERIVS with the powers of p0 - 1/2, those of the weight
+    tau^(-r-1/2) from the binomial series in dp/tau0, and F's from their
+    convolution."""
+    order = _RS_MODEL_ORDER
+    c = (_C_DERIVS @ _powers(p0 - 0.5, _PSI_DEGREE)).reshape(order + 1, 5, p0.size)
+    eta = 1.0 / (n + p0)
+    weights = np.sqrt(eta) * _powers(eta, order + 4)                 # tau0^(-1/2-j)
+    series = np.zeros((order + 1, p0.size))
+    for k in range(order + 1):
+        w = _TAU_BINOM[k][:, None] * weights[k: k + 5]               # (r, rows)
+        series[k:] += np.einsum("qri,ri->qi", c[: order + 1 - k], w)
+    return series if n % 2 else -series
 
 
 _RS_ANCHOR = 16.0   # t = t0 + d, t0 a multiple of this: d log k < 16 log n
@@ -884,11 +1003,62 @@ def _rs_block(ts: np.ndarray, max_order: int):
     return z, err, dz
 
 
-def _log1p(z):
-    """log(1 + z) for complex z near 0; numpy's complex log1p forms 1 + z
-    and loses the low digits of z."""
-    x, y = z.real, z.imag
-    return 0.5 * np.log1p(x * (2.0 + x) + y * y) + 1j * np.arctan2(y, 1.0 + x)
+def _rs_correction_samples(gammas: np.ndarray, n: int, delta: np.ndarray) -> np.ndarray:
+    """F(p) = (-1)^(n-1) sum_r C_r(p) tau^(-r-1/2) at the complex heights
+    gamma + delta, with tau = sqrt(t/2pi) and p = tau - n: one row per
+    gamma, one column per delta, for |delta/gamma| <= 1e-4.  The real Taylor
+    series of F about p0 = tau(gamma) - n, by Horner's rule in
+    dp = tau(gamma + delta) - tau(gamma); _rs_model_bound bounds the
+    dropped terms."""
+    tau0 = np.sqrt(gammas / TWO_PI)
+    model = _rs_correction_series(tau0 - n, n)                           # (Q + 1, rows)
+    # dp = delta/(4 pi tau0) 2/(1 + sqrt(1 + x)), x = delta/gamma, a polynomial
+    # in delta: 1 - x/4 + x^2/8 - 5x^3/64 leaves 14 (x/4)^4 < 6e-18 relative
+    catalan = np.array([1.0, -0.25, 0.125, -5.0 / 64.0])
+    powers = delta ** np.arange(1, catalan.size + 1)[:, None]
+    scale = 4.0 * math.pi * tau0[:, None] * gammas[:, None] ** np.arange(catalan.size)
+    dp = (catalan / scale) @ powers
+    corr = model[-1][:, None] * dp
+    for c in model[-2:0:-1]:
+        corr += c[:, None]
+        corr *= dp
+    corr += model[0][:, None]
+    return corr
+
+
+def _rs_model_bound(tau, dp):
+    """Bound on the terms that _rs_correction_samples drops, at heights with
+    tau = sqrt(t/2pi) >= 1 and |dp| <= dp <= 0.01: Taylor's remainder
+    |dp|^(Q+1) sup |F^(Q+1)|/(Q+1)! on the segment from p0 to p0 + dp, with
+    F^(Q+1)/(Q+1)! by Leibniz's rule from sup |C_r^(j)|/j! (_C_DERIV_SUP) and
+    the weights' coefficients |binom(-r-1/2, k)| |tau|^(-r-1/2-k) at
+    |tau| >= tau0 - 0.01."""
+    tau = np.asarray(tau, dtype=np.float64)
+    q1 = _RS_MODEL_ORDER + 1
+    k = q1 - np.arange(q1 + 1)                      # weight order beside C_r^(j), j = 0..Q+1
+    exponent = np.arange(5)[:, None] + 0.5 + k
+    weights = np.abs(_TAU_BINOM[k].T) * (tau[..., None, None] - 0.01) ** -exponent
+    return dp ** q1 * np.sum(_C_DERIV_SUP * weights, axis=(-2, -1))
+
+
+_THETA_TERMS = 5    # theta(t_c) - theta(gamma) to delta^5; _rs_shift_error bounds the rest
+
+
+def _theta_series(ts, terms: int) -> np.ndarray:
+    """theta^(k)(t)/k! for k = 1..terms, shape ts.shape + (terms,): the
+    growing part (t/2)(log(t/2pi) - 1) gives (-1)^k t^(1-k)/(2k(k-1)) from
+    k = 2, and each reciprocal correction c t^(-m) gives c binom(-m, k) t^(-m-k)."""
+    ts = np.asarray(ts, dtype=np.float64)
+    inv = 1.0 / ts
+    out = np.empty(ts.shape + (terms,))
+    out[..., 0] = _theta_deriv_raw(ts)
+    for k in range(2, terms + 1):
+        sign = (-1.0) ** k
+        term = sign / (2.0 * k * (k - 1)) * inv ** (k - 1)
+        for c, m in zip(_THETA_C, (1, 3, 5, 7)):
+            term += c * sign * math.comb(m + k - 1, k) * inv ** (m + k)
+        out[..., k - 1] = term
+    return out
 
 
 def _rs_shift_rows(gammas: np.ndarray, n: int, v: np.ndarray, alphas: np.ndarray,
@@ -908,7 +1078,10 @@ def _rs_shift_rows(gammas: np.ndarray, n: int, v: np.ndarray, alphas: np.ndarray
     from double-doubles.  The rest is sampled: the second sum at alpha is
     conj M(-conj alpha), and -conj alpha_m = alpha_(16-m) on the circle of
     32; theta(t_c) is theta(gamma) mod 2 pi, from double-doubles, plus the
-    difference theta(t_c) - theta(gamma) in log1p form.
+    Taylor series of theta(t_c) - theta(gamma) in delta = -i alpha to
+    _THETA_TERMS terms; the corrections are the real Taylor series of F at
+    p0 = sqrt(gamma/2pi) - n (_rs_correction_series), taken at
+    p = p0 + dp by Horner's rule in dp.
     """
     log_hi, log_lo = _logk_dd(n)
     p, e = _two_prod(log_hi[:, None], gammas)
@@ -920,22 +1093,11 @@ def _rs_shift_rows(gammas: np.ndarray, n: int, v: np.ndarray, alphas: np.ndarray
     second = np.conj(coeff @ alphas[reflected] ** j)                     # (rows, samples)
 
     l_hi, l_lo = _log_dd(gammas)
-    log0 = (l_hi - _LOG_2PI_E_HI) + (l_lo - _LOG_2PI_E_LO)              # log(gamma/2pi) - 1
     base = _theta_growth_mod_2pi(gammas, l_hi, l_lo) + (_theta_tail(gammas) - math.pi / 8.0)
-    g = gammas[:, None]
     delta = -1j * alphas                                                 # t_c - gamma
-    t_c = g + delta
-    # theta(t_c) - theta(gamma) = (delta/2)(log(gamma/2pi) - 1)
-    #     + (t_c/2) log(1 + delta/gamma) + the reciprocal corrections' change
-    rot = np.exp(-1j * (base[:, None] + 0.5 * delta * log0[:, None]
-                        + 0.5 * t_c * _log1p(delta / g)
-                        + (_theta_tail(t_c) - _theta_tail(g))))
-    tau = np.sqrt(t_c / TWO_PI)
-    eta = 1.0 / tau
-    rows, _ = _rs_correction((tau - n).ravel(), 0)
-    r = rows.reshape((5,) + t_c.shape)
-    corr = (1.0 if n % 2 else -1.0) * np.sqrt(eta) * (
-        r[0] + eta * (r[1] + eta * (r[2] + eta * (r[3] + eta * r[4]))))
+    powers = delta ** np.arange(1, _THETA_TERMS + 1)[:, None]            # (terms, samples)
+    rot = np.exp(-1j * (base[:, None] + _theta_series(gammas, _THETA_TERMS) @ powers))
+    corr = _rs_correction_samples(gammas, n, delta)
     return coeff + (rot * (rot * second + corr)) @ dft
 
 
@@ -955,15 +1117,27 @@ def _rs_shift_error(ts, radius: float, order: int):
     zeta^(order)(1/2 + i t + alpha) at |alpha| <= radius, for heights ts.
 
     A sample on |alpha| = 2 radius errs by at most E = 3 x 0.017 t^(-11/4)
-    + 4e-15 x 2 sqrt(n).  The main sum's coefficients are exact, and the
-    transform's coefficient j errs by at most E (2 radius)^(-j); summed over
-    j at |alpha| <= radius, the order-th derivative errs by at most
+    + 4e-15 x 2 sqrt(n), plus the dropped terms of its two series:
+    * the correction model's (_rs_model_bound), times |e^{-i theta}| < 3;
+    * theta's first omitted term, twice on e^{-2i theta} (second sum) <=
+      9 e 2 sqrt(n), since |k^alpha| <= n^(2 radius) <= e, and once on the
+      corrections.
+    Both stay below 1e-3 of E.  The main sum's coefficients are exact, and
+    the transform's coefficient j errs by at most E (2 radius)^(-j); summed
+    over j at |alpha| <= radius, the order-th derivative errs by at most
     2 order! E / radius^order.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    n = np.floor(np.sqrt(ts / TWO_PI))
+    tau = np.sqrt(ts / TWO_PI)
+    n = np.floor(tau)
     sample = _RS_OFFLINE * _RS_GABCKE * ts ** -2.75 + _RS_SAMPLE_NOISE * 2.0 * np.sqrt(n)
-    return 2.0 * math.factorial(order) * sample / radius ** order
+    # |dp| at |alpha| = 2 radius: |tau(t_c) + tau0| >= 2 tau0 - 1
+    dp = radius / (math.pi * (2.0 * tau - 1.0))
+    model = 3.0 * _rs_model_bound(tau, dp)
+    omitted = (np.abs(_theta_series(ts, _THETA_TERMS + 1)[..., -1])
+               * (2.0 * radius) ** (_THETA_TERMS + 1))
+    theta = omitted * (2.0 * 9.0 * math.e * 2.0 * np.sqrt(n) + 3.0)
+    return 2.0 * math.factorial(order) * (sample + model + theta) / radius ** order
 
 
 def _em_z(ts: np.ndarray, max_order: int):

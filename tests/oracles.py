@@ -290,3 +290,46 @@ def s1_s2(spec, gamma: float) -> tuple[complex, complex]:
     s = complex(0.5, gamma)
     return (primes.prime_sum(spec, s, p_hi=spec.split_z),
             primes.prime_sum(spec, s, p_lo=spec.split_z))
+
+
+def em_boundary_sampled(gammas, n, radius: float):
+    """The shift table's Euler-Maclaurin boundary coefficients by the route
+    that their closed form replaced: the package's _em_boundary at 32 points
+    on |alpha| = 2 radius about each 1/2 + i gamma, with truncation n (an
+    array like gammas), and the discrete Fourier transform of those samples
+    to Taylor coefficients 0..24, one row per height."""
+    import numpy as np
+
+    from zetamoments import zetafn
+    j = np.arange(25)
+    r = 2.0 * radius
+    w = np.exp(2j * math.pi * np.arange(32) / 32)[:, None]
+    s = (0.5 + 1j * np.asarray(gammas, dtype=np.float64)) + r * w     # (samples, heights)
+    n = np.broadcast_to(np.asarray(n, dtype=np.float64), s.shape).ravel()
+    boundary, _ = zetafn._em_boundary(s.ravel(), n, 0)
+    return boundary[0].reshape(s.shape).T @ (w ** -j / (32 * r ** j))
+
+
+def rs_correction_complex(t_c, n: int):
+    """(-1)^(n-1) sum_{r<=4} C_r(p) eta^(r + 1/2) at complex heights t_c,
+    eta = (2 pi / t_c)^(1/2) and p = sqrt(t_c/2pi) - n, by the route that the
+    shift table's real Taylor model replaced: Horner's rule in
+    v = (p - 1/2)^2 on the package's coefficient table, in complex
+    arithmetic."""
+    import numpy as np
+
+    from zetamoments import zetafn
+    tau = np.sqrt(np.asarray(t_c, dtype=np.complex128).ravel() / zetafn.TWO_PI)
+    eta = 1.0 / tau
+    u = tau - n - 0.5
+    v = u * u
+    table = zetafn._C_TABLE[0]
+    acc = np.repeat(table[:, -1:], u.size, axis=1).astype(np.complex128)
+    for column in table.T[-2::-1]:
+        acc *= v
+        acc += column[:, None]
+    acc[1::2] *= u
+    total = acc[4]
+    for row in acc[3::-1]:
+        total = row + eta * total
+    return ((1.0 if n % 2 else -1.0) * np.sqrt(eta) * total).reshape(np.shape(t_c))

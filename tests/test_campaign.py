@@ -128,6 +128,19 @@ class TestRunCampaign:
         outcomes = {o.audit_name: o for o in campaign.run_campaign(config)}
         assert outcomes["partial_fraction_reconstruction"].sample_count == 19
 
+    def test_stirling_digamma_counts_samples_past_the_bound(self, default_run, cache_file,
+                                                           monkeypatch):
+        # |psi(s) - log s + 1/(2s)| <= 1/(12 (Re s)^2) (DLMF 5.9.13): a digamma
+        # off by twice that bound puts every sample past it
+        _, outcomes = default_run
+        assert {o.audit_name: o for o in outcomes}["stirling_digamma"].max_violation == 0.0
+        real_digamma = campaign.digamma
+        monkeypatch.setattr(campaign, "digamma",
+                            lambda s: real_digamma(s) + 2.0 / (12.0 * s.real ** 2))
+        config = CampaignConfig(t_max=1000.0, k_list=(), cache_path=cache_file)
+        outcome = {o.audit_name: o for o in campaign.run_campaign(config)}["stirling_digamma"]
+        assert outcome.max_violation == outcome.sample_count == 50
+
     def test_functional_equation_skips_reflected_samples(self, default_run):
         # zeta(s) is chi(s) zeta(1 - s) on the reflection route: residual 0
         config, outcomes = default_run

@@ -18,7 +18,8 @@ from zetamoments.moments import (
 from zetamoments.primes import DirichletPolySpec
 from zetamoments.zetafn import CONSTANTS, chi, hardy_z
 
-from .oracles import cauchy_transfer_audit, histogram_from_values
+from .oracles import (cauchy_transfer_audit, em_boundary_sampled, histogram_from_values,
+                      rs_correction_complex)
 
 
 def test_shared_columns_evaluate_each_column_once(cache1000, monkeypatch):
@@ -515,3 +516,81 @@ class TestRiemannSiegelRows:
         for gammas in ([2000.0, 3000.0], [np.nan]):
             with pytest.raises(zetafn.DomainError, match="t_max"):
                 zetafn.ZeroShiftEvaluator(np.array(gammas), 2500.0)
+
+
+class TestTableFromSeries:
+    """The table's rows come from Taylor data: closed-form boundary
+    coefficients on the Euler-Maclaurin rows, real correction series on the
+    Riemann-Siegel rows."""
+
+    def test_em_rows_within_committed_error_of_mpmath(self):
+        # seeded heights just below the crossover, all on Euler-Maclaurin
+        gammas = np.sort(np.random.default_rng(26).uniform(2000.0, 2612.0, 4))
+        assert np.all(zetafn.em_truncation(gammas + 1.0)
+                      <= zetafn.em_truncation(zetafn._RS_SHIFT_FROM + 1.0))
+        table = zetafn.ZeroShiftEvaluator(gammas, 1e4)
+        circle = table.radius * np.exp(2j * math.pi * np.arange(8) / 8)
+        with mpmath.workdps(30):
+            for alpha in (0.0, *circle):
+                for ell in (0, 1, 2):
+                    _, committed = zetafn.zeta_at_heights(gammas, alpha, ell)
+                    for g, value, err in zip(gammas, table.values(alpha, ell), committed):
+                        s = mpmath.mpc(0.5 + alpha.real, mpmath.mpf(g) + alpha.imag)
+                        truth = complex(mpmath.zeta(s, derivative=ell))
+                        assert abs(value - truth) <= err, (g, alpha, ell)
+
+    def test_em_boundary_series_matches_sampled_route(self, cache10k):
+        # each coefficient, at its weight radius^j on the table's disk, within
+        # 1e-2 of the committed error: the sampled route's own rounding
+        n = zetafn.em_truncation(cache10k.gammas + 1.0)
+        em = n <= zetafn.em_truncation(zetafn._RS_SHIFT_FROM + 1.0)
+        gammas, n = cache10k.gammas[em], n[em]
+        radius = 1.0 / math.log(cache10k.t_max)
+        got = zetafn._em_boundary_series(0.5 + 1j * gammas, n)
+        want = em_boundary_sampled(gammas, n, radius)
+        _, committed = zetafn.zeta_at_heights(gammas, 0.0, 0)
+        weighted = np.abs(got - want) * radius ** np.arange(got.shape[1])
+        assert gammas.size > 1000
+        assert np.all(weighted <= 1e-2 * committed[:, None])
+
+    @pytest.mark.parametrize("n", [20, 60, 126])
+    def test_correction_model_matches_complex_horner(self, n):
+        # 2,001 p in [0, 1] and the 32 samples on the widest circle, 2/log gamma
+        p = np.linspace(0.0, 1.0, 2001)
+        gammas = zetafn.TWO_PI * (n + p) ** 2
+        radius = 1.0 / math.log(gammas.max())
+        delta = -2j * radius * np.exp(2j * math.pi * np.arange(32) / 32)
+        got = zetafn._rs_correction_samples(gammas, n, delta)
+        want = rs_correction_complex(gammas[:, None] + delta, n)
+        tau = np.sqrt(gammas / zetafn.TWO_PI)
+        dropped = zetafn._rs_model_bound(tau, radius / (math.pi * (2.0 * tau - 1.0)))
+        # rounding: p = tau - n carries a few ulps of tau on either route, times |F'|
+        eps = np.finfo(float).eps
+        weights = tau ** -(np.arange(5)[:, None] + 0.5)
+        slope = np.sum(zetafn._C_DERIV_SUP[:, 1:2] * weights, axis=0)
+        allowance = dropped + 4.0 * eps * (tau * slope + 1.0)
+        assert np.all(np.abs(got - want) <= allowance[:, None])
+
+    def test_model_bounds_stay_below_a_thousandth(self):
+        # the two series' dropped terms inside _rs_shift_error, against the rest
+        ts = np.geomspace(zetafn._RS_SHIFT_FROM, 1e5, 400)
+        for radius in (0.1, 1.0 / math.log(zetafn._RS_SHIFT_FROM)):
+            n = np.floor(np.sqrt(ts / zetafn.TWO_PI))
+            rest = 2.0 * (zetafn._RS_OFFLINE * zetafn._RS_GABCKE * ts ** -2.75
+                          + zetafn._RS_SAMPLE_NOISE * 2.0 * np.sqrt(n))
+            total = zetafn._rs_shift_error(ts, radius, 0)
+            assert np.all(total > rest) and np.all(total - rest < 1e-3 * rest)
+
+    def test_build_makes_no_sampled_boundary_or_correction_calls(self, cache10k, monkeypatch):
+        calls = []
+        for name in ("_em_boundary", "_rs_correction"):
+            def counted(*args, _name=name, _original=getattr(zetafn, name)):
+                calls.append(_name)
+                return _original(*args)
+            monkeypatch.setattr(zetafn, name, counted)
+        table = zetafn.ZeroShiftEvaluator(cache10k.gammas, cache10k.t_max)
+        rs = zetafn.em_truncation(cache10k.gammas + 1.0) > zetafn.em_truncation(
+            zetafn._RS_SHIFT_FROM + 1.0)
+        assert 0 < np.count_nonzero(rs) < rs.size      # both routes built
+        assert np.all(np.isfinite(table._coeff))
+        assert calls == []
