@@ -324,22 +324,26 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
                 max(0.0, 0.95 - rep.slack), rep.n_samples,
                 f"argmax alpha {rep.argmax_alpha:.6g}"))
 
+    continuous_outcomes: list[AuditOutcome] = []
+
     def continuous():
         ks = tuple(config.k_list)
         t_top = min(config.t_max, 2000.0)
         for k, val in zip(ks, moments.continuous_moment(ks, t_top, 0.01)):
-            add(AuditOutcome(f"continuous_moment[k={k:g}]",
-                             moments.log_power_ratio(val, t_top, k * k), 0.0, 1,
-                             f"value {val:.6g}"))
+            continuous_outcomes.append(AuditOutcome(
+                f"continuous_moment[k={k:g}]",
+                moments.log_power_ratio(val, t_top, k * k), 0.0, 1, f"value {val:.6g}"))
 
-    # the moment audits read each column of moduli at the zeros once; the
-    # columns go before the continuous moment, whose grid sets the peak memory
+    # the continuous moment reads no zero: it runs before the shift table is
+    # built, so its grid never coexists with the table, and reports last.
+    # The moment audits read each column of moduli at the zeros once.
+    _safe(continuous, "continuous_moment", continuous_outcomes)
     with moments.shared_columns(cache):
         _safe(j_moments, "j_moment", outcomes)
         _safe(shifted, "shifted_moment", outcomes)
         _safe(large_values, "large_values", outcomes)
         _safe(cauchy, "cauchy_transfer", outcomes)
-    _safe(continuous, "continuous_moment", outcomes)
+    outcomes += continuous_outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,10 @@ TAU_OFFSET_PRIME = math.exp(30.0)   # tau convention of the prime-only majorant
 MAX_V_GRID = 10_000
 # id(cache) -> {(alpha, order): moduli} while a shared_columns block runs
 _SHARED: dict[int, dict] = {}
+# zeros per product of the Cauchy disk: (rows, 16) complex values of 512 kB
+_DISK_ROWS = 2048
+# heights per hardy_z_grid call of continuous_moment, as in one _rs_z block
+_GRID_BLOCK = 8192
 
 
 class GridError(ValueError):
@@ -425,11 +429,13 @@ def cauchy_transfer_report(cache: ZeroCache, k: int | tuple[int, ...],
                            ) -> CauchyTransferReport | Iterator[CauchyTransferReport]:
     """Sampled max over the disk |alpha| <= radius against the LHS moment.
 
-    The 128 shifts of _disk_samples take 8 products of the Taylor table.
-    Each (n, 16) product is reduced to one sum |zeta(rho + alpha)|^{2k} per
-    shift and k as soon as it is formed, so one pass serves every k and ell.
-    The LHS is the moment of zeta^(ell) at the zeros.  The slack is formed
-    in logs; where it overflows a double, ValueError.
+    The 128 shifts of _disk_samples take 8 rows of 16 shifts.  Each row is
+    a product of the Taylor table over blocks of _DISK_ROWS zeros, reduced
+    to one sum |zeta(rho + alpha)|^{2k} per shift and k as each block is
+    formed, so no (n, 16) array is held and one pass serves every k and ell.
+    The sums equal those over the whole product bit for bit.  The LHS is
+    the moment of zeta^(ell) at the zeros.  The slack is formed in logs;
+    where it overflows a double, ValueError.
 
     k and ell are an int each, for one report, or tuples: then an iterator
     over the reports, k by k and ell by ell, from one pass.  A (k, ell)
@@ -449,16 +455,33 @@ def cauchy_transfer_report(cache: ZeroCache, k: int | tuple[int, ...],
     evaluator = shift_evaluator(cache)
     samples = _disk_samples(radius)
     totals = np.empty((len(ks), samples.size))
+    blocks = _disk_blocks(len(cache))
     with np.errstate(over="ignore"):
         for i, row in enumerate(samples):
-            mods = np.abs(evaluator.values(row))
-            for j, kk in enumerate(ks):
-                totals[j, i * row.size:(i + 1) * row.size] = np.sum(mods ** (2.0 * kk), axis=0)
-            del mods        # before the next product: one (n, 16) row at a time
+            cols = slice(i * row.size, (i + 1) * row.size)
+            for b, product in enumerate(evaluator._row_blocks(blocks, row)):
+                mods = np.abs(product)
+                for j, kk in enumerate(ks):
+                    powers = mods ** (2.0 * kk)
+                    if b:
+                        # numpy sums axis 0 row after row, so the running
+                        # total added to the first row continues that sum
+                        powers[0] += totals[j, cols]
+                    totals[j, cols] = np.sum(powers, axis=0)
     reports = _cauchy_reports(cache, ks, ells, radius, samples, totals)
     if isinstance(k, tuple) or isinstance(ell, tuple):
         return reports
     return next(reports)
+
+
+def _disk_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most _DISK_ROWS zeros, the last one
+    lengthened rather than left with one row, whose product would round
+    differently (ZeroShiftEvaluator._row_blocks)."""
+    starts = list(range(0, n, _DISK_ROWS))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _cauchy_reports(cache: ZeroCache, ks, ells, radius: float, samples: np.ndarray,
@@ -492,6 +515,9 @@ def continuous_moment(k: float | tuple[float, ...], t_max: float,
     Starts at t = 1; the omitted [0, 1] sliver contributes O(1/T) relative
     (the integrand is bounded there by |zeta(1/2)|^{2k} ~ 2.1^k).  A tuple
     of k gives a tuple with one value per k, all from one |zeta| grid.
+    The grid is filled by hardy_z_grid calls on _GRID_BLOCK heights each,
+    so Z and its error are never held over the whole grid; a height's Z
+    depends on that height alone.
     """
     ks = k if isinstance(k, tuple) else (k,)
     for kk in ks:
@@ -509,9 +535,9 @@ def continuous_moment(k: float | tuple[float, ...], t_max: float,
     n_below = int(np.searchsorted(ts, 10.0))    # hardy_z_grid needs t >= 10
     if n_below:
         mods[:n_below] = np.abs(zeta_at_heights(ts[:n_below])[0])
-    if n_below < ts.size:
-        zvals, _ = hardy_z_grid(ts[n_below:])
-        mods[n_below:] = np.abs(zvals)
+    for start in range(n_below, ts.size, _GRID_BLOCK):
+        block = slice(start, start + _GRID_BLOCK)
+        mods[block] = np.abs(hardy_z_grid(ts[block])[0])
     h = (t_max - 1.0) / n_iv
     values = []
     for kk in ks:

@@ -249,10 +249,16 @@ def _runs(keys: np.ndarray):
 
 
 def _bucket_runs(ts: np.ndarray):
-    """Consecutive index runs of equal truncation, each at most 128 long."""
+    """Consecutive index runs of equal truncation n, each at most
+    max(128, 2^15 // n) long: below n = 256 a run's (n, len) k^{-it} array
+    holds at most 2^15 complex values (512 kB), so short sums take few runs."""
     lengths = em_truncation(ts)
-    return [(slice(i, min(i + 128, stop)), int(lengths[start]))
-            for start, stop in _runs(lengths) for i in range(start, stop, 128)]
+    runs = []
+    for start, stop in _runs(lengths):
+        n = int(lengths[start])
+        cap = max(128, 2 ** 15 // n)
+        runs += [(slice(i, min(i + cap, stop)), n) for i in range(start, stop, cap)]
+    return runs
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +484,7 @@ def zeta_at_heights(gammas: np.ndarray, alpha: complex = 0.0,
 
     The direct route for shifts beyond ZeroShiftEvaluator's radius, and the
     reference that tests hold the table to: one Euler-Maclaurin pass per
-    run of at most 128 heights that share a truncation, so a value does not
+    _bucket_runs run of heights that share a truncation, so a value does not
     depend on which other heights come with it and equals zeta_deriv's.
     """
     gammas = np.asarray(gammas, dtype=np.float64)
@@ -594,13 +600,22 @@ class ZeroShiftEvaluator:
     def values(self, alpha: complex | np.ndarray, order: int = 0) -> np.ndarray:
         """zeta^(order)(rho + alpha) at every zero in one matrix product: shape
         (n,) for a scalar alpha, (n, m) for m shifts, one column per shift."""
+        return next(self._row_blocks((slice(None),), alpha, order))
+
+    def _row_blocks(self, blocks, alpha: complex | np.ndarray, order: int = 0):
+        """values() at the zeros of each slice of rows in blocks, one product
+        per slice, yielded in turn.  BLAS forms each row's product alike
+        whatever the slice (checked from 2 to 5,000 rows to t = 1e5), so a
+        slice of two or more rows reads the bits values() gives them; numpy
+        takes a one-row product through gemv, which rounds differently."""
         if not self.covers(alpha):
             raise DomainError(f"|alpha| = {float(np.max(np.abs(alpha)))} beyond "
                               f"the table radius {self.radius}")
         j = np.arange(order, _TAYLOR_ORDER + 1)
         weights = (self._facts[j] / self._facts[j - order]
                    * np.asarray(alpha, dtype=np.complex128)[..., None] ** (j - order))
-        return self._coeff[:, order:] @ weights.T
+        for rows in blocks:
+            yield self._coeff[rows, order:] @ weights.T
 
 
 # ---------------------------------------------------------------------------

@@ -71,20 +71,41 @@ class TestRunCampaign:
             assert constant == campaign.moments.log_power_ratio(val, 1000.0, k * k)
             assert constant == pytest.approx(val / math.log(1000.0) ** (k * k), rel=1e-14)
 
+    def test_continuous_moment_runs_before_the_shift_table(self, cache_file, monkeypatch):
+        caches, built = [], []
+        ensure_cache = campaign._ensure_cache
+        real = campaign.moments.continuous_moment
+
+        def kept(config):
+            caches.append(ensure_cache(config))
+            return caches[-1]
+
+        def continuous_moment(k, t_max, step):
+            built.append("shift_table" in vars(caches[0]))
+            return real(k, t_max, step)
+
+        monkeypatch.setattr(campaign, "_ensure_cache", kept)
+        monkeypatch.setattr(campaign.moments, "continuous_moment", continuous_moment)
+        outcomes = campaign.run_campaign(CampaignConfig(t_max=1000.0, cache_path=cache_file))
+        assert built == [False]
+        assert "shift_table" in vars(caches[0])
+        assert [o.audit_name for o in outcomes[-2:]] == [
+            "continuous_moment[k=1]", "continuous_moment[k=2]"]
+
     def test_shared_products_evaluated_once(self, cache_file, monkeypatch):
         shifts, blocks = [], []
-        values = zetafn.ZeroShiftEvaluator.values
+        row_blocks = zetafn.ZeroShiftEvaluator._row_blocks     # every product of the table
         n_pow_it = campaign.zerosums._n_pow_it
 
-        def counted_values(self, alpha, order=0):
+        def counted_row_blocks(self, blocks, alpha, order=0):
             shifts.append((np.size(alpha), order))
-            return values(self, alpha, order)
+            return row_blocks(self, blocks, alpha, order)
 
         def counted_n_pow_it(ts, n):
             blocks.append(n)
             return n_pow_it(ts, n)
 
-        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted_values)
+        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted_row_blocks)
         monkeypatch.setattr(campaign.zerosums, "_n_pow_it", counted_n_pow_it)
         campaign.run_campaign(CampaignConfig(t_max=1000.0, cache_path=cache_file))
         # the Cauchy disk in 8 rows of 16 shifts; one column each for zeta'

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -18,24 +19,24 @@ from zetamoments.moments import (
 from zetamoments.primes import DirichletPolySpec
 from zetamoments.zetafn import CONSTANTS, chi, hardy_z
 
-from .oracles import (cauchy_transfer_audit, em_boundary_sampled, histogram_from_values,
-                      rs_correction_complex)
+from .oracles import (cauchy_transfer_audit, continuous_moment_one_shot, em_boundary_sampled,
+                      histogram_from_values, rs_correction_complex)
 
 
 def test_shared_columns_evaluate_each_column_once(cache1000, monkeypatch):
     radius = 1.0 / math.log(1000.0)
+    column = np.abs(cache1000.shift_table.values(0.0, 1))
     calls = []
-    values = zetafn.ZeroShiftEvaluator.values
+    row_blocks = zetafn.ZeroShiftEvaluator._row_blocks     # every product of the table
 
-    def counted(self, alpha, order=0):
+    def counted(self, blocks, alpha, order=0):
         calls.append((np.size(alpha), order))
-        return values(self, alpha, order)
+        return row_blocks(self, blocks, alpha, order)
 
-    monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted)
+    monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted)
     with moments.shared_columns(cache1000):
         for k in (1.0, 2.0):
-            assert compute_Jk(cache1000, k, 1).raw_sum == float(np.sum(
-                np.abs(values(cache1000.shift_table, 0.0, 1)) ** (2.0 * k)))
+            assert compute_Jk(cache1000, k, 1).raw_sum == float(np.sum(column ** (2.0 * k)))
             shifted_moment(cache1000, k, radius)
             large_value_histogram(cache1000, k, radius)
         cauchy_transfer_report(cache1000, 1, 1, radius)
@@ -238,14 +239,14 @@ class TestCauchyTransfer:
     def test_reports_every_shift_it_evaluates(self, cache1000, monkeypatch):
         radius = 1.0 / math.log(1000.0)
         calls = []
-        values = zetafn.ZeroShiftEvaluator.values
+        row_blocks = zetafn.ZeroShiftEvaluator._row_blocks
 
-        def counted(self, alpha, order=0):
+        def counted(self, blocks, alpha, order=0):
             if order == 0:
                 calls.append(alpha)
-            return values(self, alpha, order)
+            return row_blocks(self, blocks, alpha, order)
 
-        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted)
+        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted)
         rep = cauchy_transfer_report(cache1000, 1, 1, radius)
         shifts = np.concatenate([np.ravel(alpha) for alpha in calls])
         assert len(calls) == 8
@@ -263,13 +264,13 @@ class TestCauchyTransfer:
     def test_one_pass_for_every_k_and_ell(self, cache1000, monkeypatch):
         radius = 1.0 / math.log(1000.0)
         calls = []
-        values = zetafn.ZeroShiftEvaluator.values
+        row_blocks = zetafn.ZeroShiftEvaluator._row_blocks
 
-        def counted(self, alpha, order=0):
+        def counted(self, blocks, alpha, order=0):
             calls.append(np.size(alpha))
-            return values(self, alpha, order)
+            return row_blocks(self, blocks, alpha, order)
 
-        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "values", counted)
+        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted)
         reports = cauchy_transfer_report(cache1000, (1, 2, 3), (1, 2), radius)
         assert calls.count(16) == 8
         assert len(list(reports)) == 6
@@ -283,6 +284,53 @@ class TestCauchyTransfer:
         assert [(first.k, first.ell), (second.k, second.ell)] == [(1, 1), (1, 2)]
         with pytest.raises(ValueError, match="k = 200"):
             next(reports)
+
+    @pytest.mark.parametrize("block", [100, 162])
+    def test_row_blocks_keep_the_sums_bit_for_bit(self, cache1000, monkeypatch, block):
+        # 649 zeros: 7 blocks of 100 rows, or 4 of 162 with the last row
+        # joining the block before it
+        radius = 1.0 / math.log(1000.0)
+        table = cache1000.shift_table
+        # the sums over each whole (649, 16) product
+        expected = [np.concatenate([np.sum(np.abs(table.values(alpha)) ** (2.0 * kk), axis=0)
+                                    for alpha in moments._disk_samples(radius)])
+                    for kk in (1, 2)]
+        totals, sizes = [], []
+        reports = moments._cauchy_reports
+        row_blocks = zetafn.ZeroShiftEvaluator._row_blocks
+
+        def kept(cache, ks, ells, radius, samples, sums):
+            totals.append(sums.copy())
+            return reports(cache, ks, ells, radius, samples, sums)
+
+        def counted(self, blocks, alpha, order=0):
+            if np.size(alpha) == 16:
+                sizes.append([sl.stop - sl.start for sl in blocks])
+            return row_blocks(self, blocks, alpha, order)
+
+        monkeypatch.setattr(moments, "_cauchy_reports", kept)
+        monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted)
+        whole = list(cauchy_transfer_report(cache1000, (1, 2), (1, 2), radius))
+        monkeypatch.setattr(moments, "_DISK_ROWS", block)
+        blocked = list(cauchy_transfer_report(cache1000, (1, 2), (1, 2), radius))
+        assert sizes == [[649]] * 8 + [{100: [100] * 6 + [49],
+                                        162: [162] * 3 + [163]}[block]] * 8
+        assert np.array_equal(totals[0], expected)
+        assert np.array_equal(totals[1], expected)
+        assert blocked == whole
+
+    def test_transient_stays_a_block(self, cache10k):
+        # the whole (n, 16) product, its moduli and powers peaked at 3.9 MB
+        # over the table; blocks of 2,048 rows peak at 1.3 MB
+        radius = 1.0 / math.log(10000.0)
+        cache10k.shift_table
+        tracemalloc.start()
+        try:
+            list(cauchy_transfer_report(cache10k, (1, 2), (1, 2), radius))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.6e6
 
     def test_batched_validation_before_any_pass(self, cache1000):
         for ks, ells in (((1, 0), (1,)), ((1,), (1, 0)), ((1, math.nan), (1,))):
@@ -319,6 +367,27 @@ class TestContinuousMoment:
         both = continuous_moment((1.0, 2.0), 300.0, 0.01)
         assert both == (continuous_moment(1.0, 300.0, 0.01),
                         continuous_moment(2.0, 300.0, 0.01))
+
+    @pytest.mark.parametrize("block, t_max, step", [
+        (1000, 300.0, 0.01),    # 900 heights below 10, the rest across t = 200 in 30 blocks
+        (777, 250.0, 0.005),
+        (moments._GRID_BLOCK, 2000.0, 0.01),
+    ])
+    def test_blocked_grid_matches_one_shot(self, monkeypatch, block, t_max, step):
+        monkeypatch.setattr(moments, "_GRID_BLOCK", block)
+        assert continuous_moment((1.0, 2.0), t_max, step) == continuous_moment_one_shot(
+            (1.0, 2.0), t_max, step)
+
+    def test_transient_stays_a_block(self):
+        # one hardy_z_grid call over the whole grid peaked at 12.7 MB; blocks
+        # of 8,192 heights peak at 6.9 MB
+        tracemalloc.start()
+        try:
+            continuous_moment((1.0, 2.0), 2000.0, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.8e6
 
     def test_validation(self):
         for step in (0.02, 0.0, -0.01, math.nan, math.inf):
