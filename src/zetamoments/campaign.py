@@ -335,14 +335,12 @@ def _k_dependent_audits(config: CampaignConfig, cache: ZeroCache,
                 moments.log_power_ratio(val, t_top, k * k), 0.0, 1, f"value {val:.6g}"))
 
     # the continuous moment reads no zero: it runs before the shift table is
-    # built, so its grid never coexists with the table, and reports last.
-    # The moment audits read each column of moduli at the zeros once.
+    # built, so its grid never coexists with the table, and reports last
     _safe(continuous, "continuous_moment", continuous_outcomes)
-    with moments.shared_columns(cache):
-        _safe(j_moments, "j_moment", outcomes)
-        _safe(shifted, "shifted_moment", outcomes)
-        _safe(large_values, "large_values", outcomes)
-        _safe(cauchy, "cauchy_transfer", outcomes)
+    _safe(j_moments, "j_moment", outcomes)
+    _safe(shifted, "shifted_moment", outcomes)
+    _safe(large_values, "large_values", outcomes)
+    _safe(cauchy, "cauchy_transfer", outcomes)
     outcomes += continuous_outcomes
 
 

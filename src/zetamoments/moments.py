@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +35,8 @@ TAU_OFFSET_PRIME = math.exp(30.0)   # tau convention of the prime-only majorant
 # values over the 138,069 zeros to 1e5 take 0.94 s on a 2-vCPU x86-64 host.
 # The default grid reaches 4 k log log T, so this admits k up to 1,294 at T = 1e3.
 MAX_V_GRID = 10_000
-# id(cache) -> {(alpha, order): moduli} while a shared_columns block runs
-_SHARED: dict[int, dict] = {}
-# zeros per product of the Cauchy disk: (rows, 16) complex values of 512 kB
-_DISK_ROWS = 2048
+# zeros per product of the Cauchy disk: (rows, 128) complex values of 256 kB
+_DISK_ROWS = 128
 # heights per hardy_z_grid call of continuous_moment, as in one _rs_z block
 _GRID_BLOCK = 8192
 
@@ -164,7 +161,8 @@ class MajorantAuditTable:
 
 
 def shift_evaluator(cache: ZeroCache) -> ZeroShiftEvaluator:
-    """The cache's Taylor table of zeta(rho + alpha), built on first use."""
+    """The cache's Taylor table of zeta(rho + alpha), built on first use.
+    perfbench's tracer pins this name as a span, so it stays a function."""
     return cache.shift_table
 
 
@@ -181,27 +179,16 @@ def values_at_zeros(cache: ZeroCache, alpha: complex = 0.0,
     return zeta_at_heights(cache.gammas, alpha=alpha, order=order)[0]
 
 
-@contextmanager
-def shared_columns(cache: ZeroCache):
-    """Within the block, every report on cache reads each distinct
-    |zeta^(order)(rho + alpha)| column from one evaluation; the columns are
-    dropped when the block ends.  A default campaign evaluates five: orders
-    1 and 2 at alpha = 0, and its three shifts."""
-    _SHARED[id(cache)] = {}
-    try:
-        yield
-    finally:
-        _SHARED.pop(id(cache), None)
-
-
 def _moduli(cache: ZeroCache, alpha: complex, order: int) -> np.ndarray:
-    """|zeta^(order)(rho + alpha)| over the cached zeros, once per
-    shared_columns block; every moment and count reads these moduli alone."""
-    columns = _SHARED.get(id(cache), {})
+    """|zeta^(order)(rho + alpha)| over the cached zeros, read-only, evaluated
+    once per cache and kept in cache.columns; every moment and count reads
+    these moduli alone."""
     key = (complex(alpha), order)
-    if key not in columns:
-        columns[key] = np.abs(values_at_zeros(cache, alpha, order))
-    return columns[key]
+    if key not in cache.columns:
+        column = np.abs(values_at_zeros(cache, alpha, order))
+        column.flags.writeable = False
+        cache.columns[key] = column
+    return cache.columns[key]
 
 
 def _check_shift(t_max: float, alpha: complex) -> None:
@@ -413,15 +400,14 @@ def dyadic_reconstruction(histogram: LargeValueHistogram, k: float) -> float:
 
 
 def _disk_samples(radius: float) -> np.ndarray:
-    """The 128 shifts of the disk as an (8, 16) array, one product per row:
-    64 points on the circle |alpha| = radius (four rows), then 16 on each
-    ring at 1/5, 2/5, 3/5 and 4/5 of it.  The maximum over the disk is
-    sampled, not assumed: the summed modulus powers need not peak on the
-    boundary."""
+    """The 128 shifts of the disk, flat: 64 points on the circle
+    |alpha| = radius, then 16 on each ring at 1/5, 2/5, 3/5 and 4/5 of it.
+    The maximum over the disk is sampled, not assumed: the summed modulus
+    powers need not peak on the boundary."""
     rings = [(radius, 64)] + [(radius * m / 5.0, 16) for m in range(1, 5)]
     return np.array([r * complex(math.cos(2.0 * math.pi * j / n),
                                  math.sin(2.0 * math.pi * j / n))
-                     for r, n in rings for j in range(n)]).reshape(8, 16)
+                     for r, n in rings for j in range(n)])
 
 
 def cauchy_transfer_report(cache: ZeroCache, k: int | tuple[int, ...],
@@ -429,13 +415,13 @@ def cauchy_transfer_report(cache: ZeroCache, k: int | tuple[int, ...],
                            ) -> CauchyTransferReport | Iterator[CauchyTransferReport]:
     """Sampled max over the disk |alpha| <= radius against the LHS moment.
 
-    The 128 shifts of _disk_samples take 8 rows of 16 shifts.  Each row is
-    a product of the Taylor table over blocks of _DISK_ROWS zeros, reduced
-    to one sum |zeta(rho + alpha)|^{2k} per shift and k as each block is
-    formed, so no (n, 16) array is held and one pass serves every k and ell.
-    The sums equal those over the whole product bit for bit.  The LHS is
-    the moment of zeta^(ell) at the zeros.  The slack is formed in logs;
-    where it overflows a double, ValueError.
+    The 128 shifts of _disk_samples are one product of the Taylor table per
+    block of _DISK_ROWS zeros, reduced to one sum |zeta(rho + alpha)|^{2k}
+    per shift and k as each block is formed, so no (n, 128) array is held
+    and one pass serves every k and ell.  The sums equal those over the
+    whole product bit for bit.  The LHS is the moment of zeta^(ell) at the
+    zeros, from the cache's columns.  The slack is formed in logs; where it
+    overflows a double, ValueError.
 
     k and ell are an int each, for one report, or tuples: then an iterator
     over the reports, k by k and ell by ell, from one pass.  A (k, ell)
@@ -452,22 +438,19 @@ def cauchy_transfer_report(cache: ZeroCache, k: int | tuple[int, ...],
         raise ValueError("empty cache")
     if not (ks and ells):
         return iter(())
-    evaluator = shift_evaluator(cache)
     samples = _disk_samples(radius)
+    products = shift_evaluator(cache)._row_blocks(_disk_blocks(len(cache)), samples)
     totals = np.empty((len(ks), samples.size))
-    blocks = _disk_blocks(len(cache))
     with np.errstate(over="ignore"):
-        for i, row in enumerate(samples):
-            cols = slice(i * row.size, (i + 1) * row.size)
-            for b, product in enumerate(evaluator._row_blocks(blocks, row)):
-                mods = np.abs(product)
-                for j, kk in enumerate(ks):
-                    powers = mods ** (2.0 * kk)
-                    if b:
-                        # numpy sums axis 0 row after row, so the running
-                        # total added to the first row continues that sum
-                        powers[0] += totals[j, cols]
-                    totals[j, cols] = np.sum(powers, axis=0)
+        for b, product in enumerate(products):
+            mods = np.abs(product)
+            for j, kk in enumerate(ks):
+                powers = mods ** (2.0 * kk)
+                if b:
+                    # numpy sums axis 0 row after row, so the running
+                    # total added to the first row continues that sum
+                    powers[0] += totals[j]
+                totals[j] = np.sum(powers, axis=0)
     reports = _cauchy_reports(cache, ks, ells, radius, samples, totals)
     if isinstance(k, tuple) or isinstance(ell, tuple):
         return reports
@@ -501,7 +484,7 @@ def _cauchy_reports(cache: ZeroCache, ks, ells, radius: float, samples: np.ndarr
             yield CauchyTransferReport(k=kk, ell=e, radius=radius,
                                        n_samples=samples.size, lhs=lhs,
                                        log_prefactor=log_prefactor, slack=slack,
-                                       argmax_alpha=complex(samples.flat[best]))
+                                       argmax_alpha=complex(samples[best]))
 
 
 # ---------------------------------------------------------------------------

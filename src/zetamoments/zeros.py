@@ -161,6 +161,14 @@ class ZeroCache:
         """
         return ZeroShiftEvaluator(self.gammas, self.t_max)
 
+    @cached_property
+    def columns(self) -> dict:
+        """|zeta^(order)(rho + alpha)| at these zeros, keyed on
+        (complex(alpha), order).  moments._moduli fills it, one evaluation
+        per column, and the columns live as long as the cache, like
+        shift_table."""
+        return {}
+
     def truncated(self, t_max: float) -> "ZeroCache":
         """Sub-cache of zeros with gamma <= t_max."""
         if t_max > self.t_max:

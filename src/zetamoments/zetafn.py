@@ -607,7 +607,10 @@ class ZeroShiftEvaluator:
         per slice, yielded in turn.  BLAS forms each row's product alike
         whatever the slice (checked from 2 to 5,000 rows to t = 1e5), so a
         slice of two or more rows reads the bits values() gives them; numpy
-        takes a one-row product through gemv, which rounds differently."""
+        takes a one-row product through gemv, which rounds differently.
+        Each column's bits are likewise the same among 16 or 128 shifts at
+        once (checked for widths that are multiples of 4, on the caches to
+        1e3, 1e4 and 1e5); other widths round some columns differently."""
         if not self.covers(alpha):
             raise DomainError(f"|alpha| = {float(np.max(np.abs(alpha)))} beyond "
                               f"the table radius {self.radius}")

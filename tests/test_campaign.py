@@ -108,10 +108,10 @@ class TestRunCampaign:
         monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted_row_blocks)
         monkeypatch.setattr(campaign.zerosums, "_n_pow_it", counted_n_pow_it)
         campaign.run_campaign(CampaignConfig(t_max=1000.0, cache_path=cache_file))
-        # the Cauchy disk in 8 rows of 16 shifts; one column each for zeta'
-        # and zeta'' at the zeros and for the three shifts
-        assert len(shifts) == 13
-        assert shifts.count((16, 0)) == 8
+        # the Cauchy disk in one product of 128 shifts; one column each for
+        # zeta' and zeta'' at the zeros and for the three shifts
+        assert len(shifts) == 6
+        assert shifts.count((128, 0)) == 1
         assert sorted(shifts[:5]) == [(1, 0)] * 3 + [(1, 1), (1, 2)]
         # the six mean squares: n^{-i gamma} for n <= 100 once per block of
         # 512 zeros

@@ -23,9 +23,10 @@ from .oracles import (cauchy_transfer_audit, continuous_moment_one_shot, em_boun
                       histogram_from_values, rs_correction_complex)
 
 
-def test_shared_columns_evaluate_each_column_once(cache1000, monkeypatch):
+def test_each_cache_evaluates_each_column_once(cache1000, monkeypatch):
+    cache = cache1000.truncated(1000.0)     # the same zeros, no columns yet
     radius = 1.0 / math.log(1000.0)
-    column = np.abs(cache1000.shift_table.values(0.0, 1))
+    column = np.abs(cache.shift_table.values(0.0, 1))
     calls = []
     row_blocks = zetafn.ZeroShiftEvaluator._row_blocks     # every product of the table
 
@@ -34,16 +35,22 @@ def test_shared_columns_evaluate_each_column_once(cache1000, monkeypatch):
         return row_blocks(self, blocks, alpha, order)
 
     monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted)
-    with moments.shared_columns(cache1000):
-        for k in (1.0, 2.0):
-            assert compute_Jk(cache1000, k, 1).raw_sum == float(np.sum(column ** (2.0 * k)))
-            shifted_moment(cache1000, k, radius)
-            large_value_histogram(cache1000, k, radius)
-        cauchy_transfer_report(cache1000, 1, 1, radius)
-    assert sorted(calls) == [(1, 0), (1, 1)] + [(16, 0)] * 8
-    assert moments._SHARED == {}
-    compute_Jk(cache1000, 1.0, 1)
+    list(cauchy_transfer_report(cache, (1, 2), (1, 2), radius))
+    # the disk in one product of 128 shifts; zeta' and zeta'' once each
+    assert sorted(calls) == [(1, 1), (1, 2), (128, 0)]
+    for k in (1.0, 2.0):
+        assert compute_Jk(cache, k, 1).raw_sum == float(np.sum(column ** (2.0 * k)))
+        for alpha in (radius, -radius, 1j * radius):
+            shifted_moment(cache, k, alpha)
+        large_value_histogram(cache, k, radius)
+    assert sorted(calls) == [(1, 0)] * 3 + [(1, 1), (1, 2), (128, 0)]
+    # a truncated cache evaluates its own columns and leaves the original's
+    part = cache.truncated(500.0)
+    compute_Jk(part, 1.0, 1)
+    compute_Jk(cache, 1.0, 1)
     assert calls.count((1, 1)) == 2
+    assert part.columns[(0j, 1)].size == len(part) < len(cache)
+    assert np.array_equal(cache.columns[(0j, 1)], column)
 
 
 class TestComputeJk:
@@ -249,7 +256,7 @@ class TestCauchyTransfer:
         monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted)
         rep = cauchy_transfer_report(cache1000, 1, 1, radius)
         shifts = np.concatenate([np.ravel(alpha) for alpha in calls])
-        assert len(calls) == 8
+        assert len(calls) == 1
         assert rep.n_samples == shifts.size == 128
         assert np.array_equal(shifts, moments._disk_samples(radius).ravel())
 
@@ -272,9 +279,9 @@ class TestCauchyTransfer:
 
         monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted)
         reports = cauchy_transfer_report(cache1000, (1, 2, 3), (1, 2), radius)
-        assert calls.count(16) == 8
+        assert calls.count(128) == 1
         assert len(list(reports)) == 6
-        assert calls.count(16) == 8
+        assert calls.count(128) == 1
 
     def test_batched_failure_keeps_the_reports_before_it(self, cache1000):
         # the sums of |zeta'|^400 overflow a double at k = 200
@@ -287,14 +294,13 @@ class TestCauchyTransfer:
 
     @pytest.mark.parametrize("block", [100, 162])
     def test_row_blocks_keep_the_sums_bit_for_bit(self, cache1000, monkeypatch, block):
-        # 649 zeros: 7 blocks of 100 rows, or 4 of 162 with the last row
-        # joining the block before it
+        # 649 zeros: 6 blocks of 128 rows by default, 7 of 100, or 4 of 162
+        # with the last row joining the block before it
         radius = 1.0 / math.log(1000.0)
         table = cache1000.shift_table
-        # the sums over each whole (649, 16) product
-        expected = [np.concatenate([np.sum(np.abs(table.values(alpha)) ** (2.0 * kk), axis=0)
-                                    for alpha in moments._disk_samples(radius)])
-                    for kk in (1, 2)]
+        # the sums over the whole (649, 128) product
+        whole = np.abs(table.values(moments._disk_samples(radius)))
+        expected = [np.sum(whole ** (2.0 * kk), axis=0) for kk in (1, 2)]
         totals, sizes = [], []
         reports = moments._cauchy_reports
         row_blocks = zetafn.ZeroShiftEvaluator._row_blocks
@@ -304,24 +310,25 @@ class TestCauchyTransfer:
             return reports(cache, ks, ells, radius, samples, sums)
 
         def counted(self, blocks, alpha, order=0):
-            if np.size(alpha) == 16:
+            if np.size(alpha) == 128:
                 sizes.append([sl.stop - sl.start for sl in blocks])
             return row_blocks(self, blocks, alpha, order)
 
         monkeypatch.setattr(moments, "_cauchy_reports", kept)
         monkeypatch.setattr(zetafn.ZeroShiftEvaluator, "_row_blocks", counted)
-        whole = list(cauchy_transfer_report(cache1000, (1, 2), (1, 2), radius))
+        default = list(cauchy_transfer_report(cache1000, (1, 2), (1, 2), radius))
         monkeypatch.setattr(moments, "_DISK_ROWS", block)
         blocked = list(cauchy_transfer_report(cache1000, (1, 2), (1, 2), radius))
-        assert sizes == [[649]] * 8 + [{100: [100] * 6 + [49],
-                                        162: [162] * 3 + [163]}[block]] * 8
+        assert sizes == [[128] * 5 + [9], {100: [100] * 6 + [49],
+                                           162: [162] * 3 + [163]}[block]]
         assert np.array_equal(totals[0], expected)
         assert np.array_equal(totals[1], expected)
-        assert blocked == whole
+        assert blocked == default
 
     def test_transient_stays_a_block(self, cache10k):
         # the whole (n, 16) product, its moduli and powers peaked at 3.9 MB
-        # over the table; blocks of 2,048 rows peak at 1.3 MB
+        # over the table, and blocks of 2,048 rows by 16 shifts at 1.6 MB;
+        # blocks of 128 rows by all 128 shifts peak at 0.85 MB
         radius = 1.0 / math.log(10000.0)
         cache10k.shift_table
         tracemalloc.start()
